@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diagnosis"
 	"repro/internal/dtc"
+	"repro/internal/encode"
 	"repro/internal/faultsim"
 	"repro/internal/fleet"
 	"repro/internal/gateway"
@@ -638,6 +639,58 @@ func BenchmarkSATDecodeCaseStudy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEncodeBuild measures encoding the full case study (15 ECUs
+// × 36 profiles) into the pseudo-Boolean constraint system: the setup
+// cost of every SAT-decoded campaign.
+func BenchmarkEncodeBuild(b *testing.B) {
+	spec, err := casestudy.Build(casestudy.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := encode.Build(spec, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSATDecodeFull measures one SAT-decoding pass on the full
+// case study (36 profiles per ECU), the scale of the paper's
+// experiments, and reports the search work behind it per decode.
+func BenchmarkSATDecodeFull(b *testing.B) {
+	spec, err := casestudy.Build(casestudy.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := encode.Build(spec, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := enc.NewDecoderState()
+	rng := rand.New(rand.NewSource(3))
+	g := make([]float64, enc.GenotypeLen())
+	var decisions, conflicts, fallbacks int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range g {
+			g[j] = rng.Float64()
+		}
+		_, res, err := st.Decode(g, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decisions += res.Decisions
+		conflicts += res.Conflicts
+		fallbacks += res.Fallbacks
+	}
+	b.ReportMetric(float64(decisions)/float64(b.N), "decisions/op")
+	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
+	b.ReportMetric(float64(fallbacks)/float64(b.N), "fallbacks/op")
 }
 
 // --- E12: fault-tolerant transfer ---------------------------------------

@@ -726,6 +726,8 @@ func newTelemetry(optimizer string, reg *obs.Registry) *telemetry {
 		sample(func(p core.Progress) float64 { return float64(p.SolverConflicts) }))
 	reg.CounterFunc("dse_solver_propagations_total", "SAT decoder propagations",
 		sample(func(p core.Progress) float64 { return float64(p.SolverPropagations) }))
+	reg.CounterFunc("dse_solver_fallbacks_total", "SAT decoder decisions left to the first-unassigned fallback",
+		sample(func(p core.Progress) float64 { return float64(p.SolverFallbacks) }))
 	reg.GaugeFunc("dse_elapsed_seconds", "wall-clock time since the run started",
 		sample(func(p core.Progress) float64 { return p.Elapsed.Seconds() }))
 	return t
@@ -763,6 +765,7 @@ func (t *telemetry) snapshot() map[string]any {
 	m["decode_failures"] = p.DecodeFailures
 	m["solver_conflicts"] = p.SolverConflicts
 	m["solver_propagations"] = p.SolverPropagations
+	m["solver_fallbacks"] = p.SolverFallbacks
 	m["elapsed_ms"] = p.Elapsed.Milliseconds()
 	return m
 }
@@ -773,7 +776,7 @@ func (t *telemetry) printLine(w *os.File, p core.Progress) {
 	if p.Generations > 0 {
 		total = fmt.Sprintf("/%d", p.Generations)
 	}
-	fmt.Fprintf(w, "eedse: progress gen=%d%s evals=%d evals_s=%.0f archive=%d hv=%.4g decode_fail=%d conflicts=%d props=%d elapsed=%s\n",
+	fmt.Fprintf(w, "eedse: progress gen=%d%s evals=%d evals_s=%.0f archive=%d hv=%.4g decode_fail=%d conflicts=%d props=%d fallbacks=%d elapsed=%s\n",
 		p.Generation, total, p.Evaluations, p.EvalsPerSec, p.ArchiveSize, p.Hypervolume,
-		p.DecodeFailures, p.SolverConflicts, p.SolverPropagations, p.Elapsed.Round(10_000_000)) // 10 ms
+		p.DecodeFailures, p.SolverConflicts, p.SolverPropagations, p.SolverFallbacks, p.Elapsed.Round(10_000_000)) // 10 ms
 }

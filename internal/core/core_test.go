@@ -487,3 +487,46 @@ func TestSATDecoderFullCaseStudy(t *testing.T) {
 		}
 	}
 }
+
+// TestSATDecoderCountsFallbacks pins the solver telemetry: the
+// decoder's cumulative counters equal the sums of the per-decode
+// pbsat.Results, through both the pooled and the per-worker path, and
+// the fallback count is non-zero because routing variables are left to
+// the solver's fallback.
+func TestSATDecoderCountsFallbacks(t *testing.T) {
+	sd, err := NewSATDecoder(smallSpec(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := sd.Enc.NewDecoderState()
+	rng := rand.New(rand.NewSource(4))
+	g := make([]float64, sd.GenotypeLen())
+	var conflicts, props, fallbacks int64
+	for i := 0; i < 10; i++ {
+		for j := range g {
+			g[j] = rng.Float64()
+		}
+		_, res, err := ref.Decode(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conflicts += int64(res.Conflicts)
+		props += int64(res.Propagated)
+		fallbacks += int64(res.Fallbacks)
+		if i%2 == 0 {
+			_, err = sd.Decode(g)
+		} else {
+			_, err = sd.DecodeWorker(1, g)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, p, f := sd.SolverStats()
+	if c != conflicts || p != props || f != fallbacks {
+		t.Fatalf("SolverStats = (%d, %d, %d), want (%d, %d, %d)", c, p, f, conflicts, props, fallbacks)
+	}
+	if f == 0 {
+		t.Fatal("no fallback decisions counted")
+	}
+}

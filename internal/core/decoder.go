@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/encode"
 	"repro/internal/model"
+	"repro/internal/pbsat"
 )
 
 // Decoder turns a genotype into a feasible implementation. Decoders
@@ -60,6 +61,7 @@ type SATDecoder struct {
 	// explorer's telemetry stream (SolverStatsReporter).
 	conflicts    atomic.Int64
 	propagations atomic.Int64
+	fallbacks    atomic.Int64
 }
 
 // NewSATDecoder builds the encoding for the specification.
@@ -86,10 +88,7 @@ func (d *SATDecoder) Decode(genotype []float64) (*model.Implementation, error) {
 	}
 	x, res, err := st.Decode(genotype, d.MaxConflicts)
 	d.states.Put(st)
-	if res != nil {
-		d.conflicts.Add(int64(res.Conflicts))
-		d.propagations.Add(int64(res.Propagated))
-	}
+	d.count(res)
 	if err != nil {
 		return nil, fmt.Errorf("core: SAT decode: %w", err)
 	}
@@ -104,10 +103,7 @@ func (d *SATDecoder) Decode(genotype []float64) (*model.Implementation, error) {
 func (d *SATDecoder) DecodeWorker(worker int, genotype []float64) (*model.Implementation, error) {
 	st := d.workerState(worker)
 	x, res, err := st.Decode(genotype, d.MaxConflicts)
-	if res != nil {
-		d.conflicts.Add(int64(res.Conflicts))
-		d.propagations.Add(int64(res.Propagated))
-	}
+	d.count(res)
 	if err != nil {
 		return nil, fmt.Errorf("core: SAT decode: %w", err)
 	}
@@ -142,8 +138,19 @@ func (d *SATDecoder) workerState(worker int) *encode.DecoderState {
 	return next[worker]
 }
 
-// SolverStats implements SolverStatsReporter: the cumulative conflict
-// and propagation counts over every decode performed so far.
-func (d *SATDecoder) SolverStats() (conflicts, propagations int64) {
-	return d.conflicts.Load(), d.propagations.Load()
+// count adds one decode's solver work to the cumulative counters; res
+// is nil when the decode failed before the search.
+func (d *SATDecoder) count(res *pbsat.Result) {
+	if res != nil {
+		d.conflicts.Add(int64(res.Conflicts))
+		d.propagations.Add(int64(res.Propagated))
+		d.fallbacks.Add(int64(res.Fallbacks))
+	}
+}
+
+// SolverStats implements SolverStatsReporter: the cumulative conflict,
+// propagation and fallback-decision counts over every decode performed
+// so far.
+func (d *SATDecoder) SolverStats() (conflicts, propagations, fallbacks int64) {
+	return d.conflicts.Load(), d.propagations.Load(), d.fallbacks.Load()
 }

@@ -194,11 +194,13 @@ type Progress struct {
 	Hypervolume float64
 	// DecodeFailures counts genotypes the decoder rejected so far.
 	DecodeFailures int64
-	// SolverConflicts/SolverPropagations are the cumulative
-	// pseudo-Boolean solver counters of the SAT decoder (0 for decoders
-	// without a solver).
+	// SolverConflicts/SolverPropagations/SolverFallbacks are the
+	// cumulative pseudo-Boolean solver counters of the SAT decoder (0
+	// for decoders without a solver). Fallbacks are the decisions the
+	// genotype's branching left to the solver's first-unassigned rule.
 	SolverConflicts    int64
 	SolverPropagations int64
+	SolverFallbacks    int64
 	// Elapsed is the wall-clock time since the run (or resume) started.
 	Elapsed time.Duration
 }
@@ -207,7 +209,7 @@ type Progress struct {
 // pseudo-Boolean solver work (the SAT decoder); the explorer includes
 // the counters in telemetry when available.
 type SolverStatsReporter interface {
-	SolverStats() (conflicts, propagations int64)
+	SolverStats() (conflicts, propagations, fallbacks int64)
 }
 
 // RunControl configures cancellation-adjacent run services:
@@ -427,7 +429,7 @@ func (e *Explorer) progressSample(mp moea.Progress) Progress {
 		pr.EvalsPerSec = float64(mp.RunEvaluations) / mp.Elapsed.Seconds()
 	}
 	if sr, ok := e.Decoder.(SolverStatsReporter); ok {
-		pr.SolverConflicts, pr.SolverPropagations = sr.SolverStats()
+		pr.SolverConflicts, pr.SolverPropagations, pr.SolverFallbacks = sr.SolverStats()
 	}
 	e.initPenalty()
 	// Hypervolume3D only handles three-dimensional points; a robust run

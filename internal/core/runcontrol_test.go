@@ -275,8 +275,8 @@ func TestProgressTelemetrySample(t *testing.T) {
 	if math.IsNaN(last.Hypervolume) || last.Hypervolume <= 0 {
 		t.Fatalf("hypervolume = %v", last.Hypervolume)
 	}
-	if last.SolverPropagations == 0 {
-		t.Fatal("SAT decoder reported no solver propagations")
+	if last.SolverPropagations == 0 || last.SolverFallbacks == 0 {
+		t.Fatalf("SAT decoder reported %d propagations, %d fallbacks", last.SolverPropagations, last.SolverFallbacks)
 	}
 	if last.EvalsPerSec < 0 || last.Elapsed <= 0 {
 		t.Fatalf("throughput sample: %v evals/s over %v", last.EvalsPerSec, last.Elapsed)

@@ -32,8 +32,8 @@ type Encoding struct {
 	stepVar  map[stepKey]pbsat.Var
 
 	// msgSteps groups the step variables of each message, sorted by
-	// (tau, resource), so route extraction walks a short dense slice
-	// instead of scanning the whole stepVar map per message.
+	// (tau, resource), so Build and route extraction walk a short dense
+	// slice in a fixed order instead of ranging over the stepVar map.
 	msgSteps map[model.MessageID][]stepEntry
 }
 
@@ -159,8 +159,9 @@ func (e *Encoding) allocRoutingVars() {
 }
 
 // indexSteps builds the per-message step-variable index from the
-// allocated stepVar map, sorted by (tau, resource) so decode-time route
-// walks are deterministic and allocation-free.
+// allocated stepVar map, sorted by (tau, resource) so the routing
+// constraints are emitted in a fixed order and decode-time route walks
+// are deterministic and allocation-free.
 func (e *Encoding) indexSteps() {
 	e.msgSteps = make(map[model.MessageID][]stepEntry, len(e.Spec.App.Messages()))
 	for key, v := range e.stepVar {
@@ -251,9 +252,13 @@ func (e *Encoding) addRoutingConstraints() {
 			e.Problem.Equiv(pbsat.Pos(sv), pbsat.Pos(e.mapVars[model.Mapping{Task: msg.Src, Resource: r}]),
 				"2b:"+string(msg.ID))
 		}
-		for key, v := range e.stepVar {
-			if key.msg == msg.ID && key.tau == 0 && !senderOpts[key.res] {
-				e.Problem.AddClause("2b0:"+string(msg.ID), pbsat.Not(v))
+		steps := e.msgSteps[msg.ID] // sorted by (τ, resource)
+		for _, se := range steps {
+			if se.tau > 0 {
+				break
+			}
+			if !senderOpts[se.res] {
+				e.Problem.AddClause("2b0:"+string(msg.ID), pbsat.Not(se.v))
 			}
 		}
 
@@ -312,17 +317,17 @@ func (e *Encoding) addRoutingConstraints() {
 		}
 
 		// Eq. 2g: a step-τ+1 hop needs an adjacent step-τ hop.
-		for key, sv := range e.stepVar {
-			if key.msg != msg.ID || key.tau == 0 {
+		for _, se := range steps {
+			if se.tau == 0 {
 				continue
 			}
 			terms := []pbsat.Term{}
-			for _, n := range e.Spec.Arch.Neighbors(key.res) {
-				if pv, ok := e.stepVar[stepKey{msg.ID, n, key.tau - 1}]; ok {
+			for _, n := range e.Spec.Arch.Neighbors(se.res) {
+				if pv, ok := e.stepVar[stepKey{msg.ID, n, se.tau - 1}]; ok {
 					terms = append(terms, pbsat.Term{Coef: 1, Lit: pbsat.Pos(pv)})
 				}
 			}
-			terms = append(terms, pbsat.Term{Coef: -1, Lit: pbsat.Pos(sv)})
+			terms = append(terms, pbsat.Term{Coef: -1, Lit: pbsat.Pos(se.v)})
 			e.Problem.AddGE(terms, 0, "2g:"+string(msg.ID))
 		}
 	}
@@ -332,19 +337,26 @@ func (e *Encoding) addDiagnosisConstraints() {
 	// Eq. 2h: a diagnosis task may only be mapped to a resource that
 	// also hosts a mandatory task. Skipped under the Without2h ablation.
 	if !e.opts.disable2h {
+		// The mandatory-task terms of each resource, built once per
+		// resource rather than once per diagnosis task mapped there.
+		mandatory := make(map[model.ResourceID][]pbsat.Term)
 		for _, d := range e.Spec.App.Tasks() {
 			if !d.Kind.Diagnostic() {
 				continue
 			}
 			for _, r := range e.Spec.MappingTargets(d.ID) {
-				terms := []pbsat.Term{{Coef: -1, Lit: pbsat.Pos(e.mapVars[model.Mapping{Task: d.ID, Resource: r}])}}
-				for _, t := range e.Spec.MappableTasks(r) {
-					task := e.Spec.App.Task(t)
-					if task == nil || task.Kind.Diagnostic() {
-						continue
+				hosts, ok := mandatory[r]
+				if !ok {
+					for _, t := range e.Spec.MappableTasks(r) {
+						task := e.Spec.App.Task(t)
+						if task == nil || task.Kind.Diagnostic() {
+							continue
+						}
+						hosts = append(hosts, pbsat.Term{Coef: 1, Lit: pbsat.Pos(e.mapVars[model.Mapping{Task: t, Resource: r}])})
 					}
-					terms = append(terms, pbsat.Term{Coef: 1, Lit: pbsat.Pos(e.mapVars[model.Mapping{Task: t, Resource: r}])})
+					mandatory[r] = hosts
 				}
+				terms := append([]pbsat.Term{{Coef: -1, Lit: pbsat.Pos(e.mapVars[model.Mapping{Task: d.ID, Resource: r}])}}, hosts...)
 				e.Problem.AddGE(terms, 0, "2h:"+string(d.ID))
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/casestudy"
 	"repro/internal/model"
 	"repro/internal/pbsat"
 )
@@ -350,19 +351,42 @@ func TestVerifyModelSatisfiesEncoding(t *testing.T) {
 	}
 }
 
-func TestSortedStepKeysDeterministic(t *testing.T) {
-	e, err := Build(buildSpec(t), 0)
+// TestBuildDeterministic pins that two independent Builds of one spec
+// emit the same constraint system: seeded genotypes decode to identical
+// solver results on both, down to the propagation count, which depends
+// on constraint order. The case study at two profiles per ECU is large
+// enough that an order taken from map iteration shows up there.
+func TestBuildDeterministic(t *testing.T) {
+	spec, err := casestudy.Build(casestudy.Options{ProfilesPerECU: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := e.sortedStepKeys("c1")
-	b := e.sortedStepKeys("c1")
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("step keys: %d vs %d", len(a), len(b))
+	e1, err := Build(spec, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("non-deterministic iteration")
+	e2, err := Build(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, s2 := e1.NewDecoderState(), e2.NewDecoderState()
+	rng := rand.New(rand.NewSource(11))
+	g := make([]float64, e1.GenotypeLen())
+	for round := 0; round < 20; round++ {
+		for i := range g {
+			g[i] = rng.Float64()
+		}
+		_, r1, err1 := s1.Decode(g, 0)
+		_, r2, err2 := s2.Decode(g, 0)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("round %d: errors differ: %v vs %v", round, err1, err2)
+		}
+		if r1.SAT != r2.SAT || r1.Aborted != r2.Aborted || r1.Decisions != r2.Decisions ||
+			r1.Conflicts != r2.Conflicts || r1.Fallbacks != r2.Fallbacks || r1.Propagated != r2.Propagated {
+			t.Fatalf("round %d: results differ:\n%+v\n%+v", round, *r1, *r2)
+		}
+		if !reflect.DeepEqual(r1.Model, r2.Model) {
+			t.Fatalf("round %d: models differ", round)
 		}
 	}
 }

@@ -31,9 +31,11 @@ func FuzzSolveVerify(f *testing.F) {
 		ref := newRefSolver(p)
 		ref.maxConflicts = 10_000
 		want := ref.solve(nil)
-		if res.SAT != want.SAT || res.Aborted != want.Aborted || res.Conflicts != want.Conflicts {
-			t.Fatalf("solver (SAT=%v aborted=%v c=%d) disagrees with oracle (SAT=%v aborted=%v c=%d)",
-				res.SAT, res.Aborted, res.Conflicts, want.SAT, want.Aborted, want.Conflicts)
+		if res.SAT != want.SAT || res.Aborted != want.Aborted || res.Conflicts != want.Conflicts ||
+			res.Decisions != want.Decisions || res.Fallbacks != want.Fallbacks {
+			t.Fatalf("solver (SAT=%v aborted=%v c=%d d=%d f=%d) disagrees with oracle (SAT=%v aborted=%v c=%d d=%d f=%d)",
+				res.SAT, res.Aborted, res.Conflicts, res.Decisions, res.Fallbacks,
+				want.SAT, want.Aborted, want.Conflicts, want.Decisions, want.Fallbacks)
 		}
 	})
 }

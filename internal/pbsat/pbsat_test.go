@@ -1,6 +1,7 @@
 package pbsat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -92,6 +93,46 @@ func TestNegativeCoefficientNormalization(t *testing.T) {
 	res := NewSolver(p).Solve(nil)
 	if !res.SAT || !res.Model.Get(a) {
 		t.Fatalf("res = %+v", res)
+	}
+}
+
+// TestAddGERangeCheck pins that AddGE rejects what the solver's int32
+// term arrays cannot hold: a coefficient of either sign beyond
+// MaxInt32, or a bound that only overflows after normalization.
+func TestAddGERangeCheck(t *testing.T) {
+	over := math.MaxInt32
+	over++
+	cases := []struct {
+		name  string
+		terms func(Var) []Term
+		bound int
+	}{
+		{"coef", func(a Var) []Term { return []Term{{over, Pos(a)}} }, 1},
+		{"negative coef", func(a Var) []Term { return []Term{{-over, Pos(a)}} }, 0},
+		{"bound", func(a Var) []Term { return []Term{{1, Pos(a)}} }, over},
+		{"normalized bound", func(a Var) []Term { return []Term{{-math.MaxInt32, Pos(a)}} }, 1},
+	}
+	for _, tc := range cases {
+		p := NewProblem()
+		a := p.NewVar("a")
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AddGE accepted an out-of-range constraint", tc.name)
+				}
+			}()
+			p.AddGE(tc.terms(a), tc.bound, tc.name)
+		}()
+		if p.NumConstraints() != 0 {
+			t.Errorf("%s: rejected constraint was stored", tc.name)
+		}
+	}
+	// The extremes themselves fit.
+	p := NewProblem()
+	a := p.NewVar("a")
+	p.AddGE([]Term{{math.MaxInt32, Pos(a)}}, math.MaxInt32, "max")
+	if res := NewSolver(p).Solve(nil); !res.SAT || !res.Model.Get(a) {
+		t.Fatalf("res = %+v, want a forced true", res)
 	}
 }
 

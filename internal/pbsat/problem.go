@@ -10,7 +10,10 @@
 // genotype first.
 package pbsat
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Var is a 1-based Boolean variable index.
 type Var int
@@ -44,32 +47,36 @@ type Term struct {
 	Lit  Lit
 }
 
-// Constraint is a normalized pseudo-Boolean constraint
-// Σ Coef_i · Lit_i ≥ Bound with all coefficients positive.
-type Constraint struct {
-	Terms []Term
-	Bound int
-	Tag   string // optional origin label for diagnostics
-}
-
-// maxSum returns the sum of all coefficients.
-func (c *Constraint) maxSum() int {
-	s := 0
-	for _, t := range c.Terms {
-		s += t.Coef
-	}
-	return s
-}
-
 // Problem is a conjunction of pseudo-Boolean constraints over numbered
-// variables.
+// variables. Normalized constraints Σ coef_i · lit_i ≥ bound (all
+// coefficients positive) are stored flat, in compressed sparse row
+// form: constraint ci's terms are lits[start[ci]:start[ci+1]] with
+// weights coefs[start[ci]:start[ci+1]]. A literal is packed as
+// (var−1)<<1 | neg. Solvers share these arrays instead of copying them.
+// Create problems with NewProblem; the zero value is not ready for use.
 type Problem struct {
-	names       []string
-	constraints []Constraint
+	names  []string
+	start  []int32 // CSR row offsets, len NumConstraints()+1
+	lits   []int32 // packed literal per term
+	coefs  []int32 // positive weight per term
+	bounds []int32 // per-constraint bound, always > 0
+	tags   []string
 }
+
+// packLit packs a literal as (var−1)<<1 | neg.
+func packLit(l Lit) int32 {
+	p := int32(l.Var-1) << 1
+	if l.Neg {
+		p |= 1
+	}
+	return p
+}
+
+// unpackLit is the inverse of packLit.
+func unpackLit(p int32) Lit { return Lit{Var: Var(p>>1 + 1), Neg: p&1 != 0} }
 
 // NewProblem returns an empty problem.
-func NewProblem() *Problem { return &Problem{} }
+func NewProblem() *Problem { return &Problem{start: []int32{0}} }
 
 // NewVar allocates a fresh variable with a debugging name.
 func (p *Problem) NewVar(name string) Var {
@@ -89,35 +96,42 @@ func (p *Problem) Name(v Var) string {
 }
 
 // NumConstraints returns the number of stored (normalized) constraints.
-func (p *Problem) NumConstraints() int { return len(p.constraints) }
-
-// Constraints exposes the normalized constraint slice (read-only use).
-func (p *Problem) Constraints() []Constraint { return p.constraints }
+func (p *Problem) NumConstraints() int { return len(p.bounds) }
 
 // AddGE adds Σ coef_i·lit_i ≥ bound. Coefficients may be negative or
 // zero; the constraint is normalized to positive coefficients by
 // flipping literals (a·l ≡ a − a·¬l). Trivially true constraints are
 // dropped; trivially false ones are kept and will make the problem
-// unsatisfiable.
+// unsatisfiable. AddGE panics if a coefficient or the normalized bound
+// does not fit in an int32, the solver's term width.
 func (p *Problem) AddGE(terms []Term, bound int, tag string) {
-	var norm []Term
 	for _, t := range terms {
-		switch {
-		case t.Coef == 0:
-			// drop
-		case t.Coef > 0:
-			norm = append(norm, t)
-		default:
-			// a·l with a<0: substitute l = 1 − ¬l.
-			norm = append(norm, Term{Coef: -t.Coef, Lit: t.Lit.Negated()})
-			bound -= t.Coef // bound − a (a negative → bound grows)
+		if t.Coef > math.MaxInt32 || t.Coef < -math.MaxInt32 {
+			panic(fmt.Sprintf("pbsat: coefficient %d exceeds solver range", t.Coef))
+		}
+		if t.Coef < 0 {
+			bound -= t.Coef // a·l with a<0: substitute l = 1 − ¬l
 		}
 	}
-	c := Constraint{Terms: norm, Bound: bound, Tag: tag}
 	if bound <= 0 {
 		return // always satisfied
 	}
-	p.constraints = append(p.constraints, c)
+	if bound > math.MaxInt32 {
+		panic(fmt.Sprintf("pbsat: bound %d exceeds solver range", bound))
+	}
+	for _, t := range terms {
+		switch {
+		case t.Coef > 0:
+			p.lits = append(p.lits, packLit(t.Lit))
+			p.coefs = append(p.coefs, int32(t.Coef))
+		case t.Coef < 0:
+			p.lits = append(p.lits, packLit(t.Lit.Negated()))
+			p.coefs = append(p.coefs, int32(-t.Coef))
+		}
+	}
+	p.start = append(p.start, int32(len(p.lits)))
+	p.bounds = append(p.bounds, int32(bound))
+	p.tags = append(p.tags, tag)
 }
 
 // AddLE adds Σ coef_i·lit_i ≤ bound via negation.

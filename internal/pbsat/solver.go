@@ -115,9 +115,13 @@ type Result struct {
 	// Model is the satisfying assignment. It aliases a buffer owned by
 	// the solver and is only valid until the next Solve call on the same
 	// Solver; copy it to retain it longer.
-	Model      Assignment
-	Conflicts  int
-	Decisions  int
+	Model     Assignment
+	Conflicts int
+	Decisions int
+	// Fallbacks counts the decisions the branching left to the solver
+	// (first unassigned variable, negative polarity); they are included
+	// in Decisions.
+	Fallbacks  int
 	Propagated int
 	// Aborted is set when the conflict limit was exceeded before a
 	// verdict; SAT is false in that case but unsatisfiability is NOT
@@ -142,24 +146,33 @@ type occurrence struct {
 // state, so one Solver amortizes its index structures over many calls
 // (the SAT-decoding hot loop). It is not safe for concurrent use.
 type Solver struct {
-	p *Problem
 	// MaxConflicts bounds the search (0 = 1,000,000).
 	MaxConflicts int
 
+	// The problem's flat term arrays, shared, never written.
+	start  []int32
+	lits   []int32
+	coefs  []int32
+	bounds []int32
+
 	assign []int8 // 1=true, -1=false, 0=unassigned; index var-1
 	trail  []Var
+	// fallback is the first-unassigned cursor: every variable below
+	// index fallback is assigned. unassign rewinds it.
+	fallback int
 
-	// occs maps each variable to its (constraint, coef, polarity)
-	// incidences, so an assignment updates exactly the counters it
-	// affects — and wakes only constraints whose slack shrank.
-	occs [][]occurrence
+	// The occurrences of variable index v are occs[occStart[v]:occStart[v+1]]:
+	// its (constraint, coef, polarity) incidences, so an assignment
+	// updates exactly the counters it affects — and wakes only
+	// constraints whose slack shrank.
+	occStart []int32
+	occs     []occurrence
 
 	// maxPossible[ci] is the current Σ coef over terms whose literal is
 	// not yet false; initMax is its all-unassigned reset template.
 	maxPossible []int64
 	initMax     []int64
-	bounds      []int64 // per-constraint bound, densely packed
-	maxCoef     []int64 // largest term weight, to skip no-op scans
+	maxCoef     []int32 // largest term weight, to skip no-op scans
 
 	inQueue []bool  // constraint index -> queued for recheck
 	queue   []int32 // recheck worklist
@@ -168,49 +181,51 @@ type Solver struct {
 	modelBuf Assignment // backs Result.Model across calls
 }
 
-// NewSolver prepares a solver for the problem.
+// NewSolver prepares a solver for the problem. The solver reads the
+// problem's constraints as they are now; constraints added later are
+// not seen.
 func NewSolver(p *Problem) *Solver {
-	n := len(p.constraints)
+	n := p.NumConstraints()
+	nv := p.NumVars()
 	s := &Solver{
-		p:            p,
 		MaxConflicts: 1_000_000,
-		assign:       make([]int8, p.NumVars()),
-		occs:         make([][]occurrence, p.NumVars()),
+		start:        p.start,
+		lits:         p.lits,
+		coefs:        p.coefs,
+		bounds:       p.bounds,
+		assign:       make([]int8, nv),
+		occStart:     make([]int32, nv+1),
+		occs:         make([]occurrence, len(p.lits)),
 		maxPossible:  make([]int64, n),
 		initMax:      make([]int64, n),
-		bounds:       make([]int64, n),
-		maxCoef:      make([]int64, n),
+		maxCoef:      make([]int32, n),
 		inQueue:      make([]bool, n),
 	}
-	for ci := range p.constraints {
-		c := &p.constraints[ci]
-		s.bounds[ci] = int64(c.Bound)
-		for _, t := range c.Terms {
-			if t.Coef > 1<<31-1 {
-				panic(fmt.Sprintf("pbsat: coefficient %d exceeds solver range", t.Coef))
-			}
-			v := int(t.Lit.Var) - 1
+	// Counting pass: occStart[v+1] holds variable v's occurrence count,
+	// prefix-summed into row offsets.
+	for _, l := range s.lits {
+		s.occStart[l>>1+1]++
+	}
+	for v := 0; v < nv; v++ {
+		s.occStart[v+1] += s.occStart[v]
+	}
+	fill := make([]int32, nv)
+	copy(fill, s.occStart[:nv])
+	for ci := 0; ci < n; ci++ {
+		for k := s.start[ci]; k < s.start[ci+1]; k++ {
+			l, coef := s.lits[k], s.coefs[k]
 			falseWhen := int8(-1)
-			if t.Lit.Neg {
+			if l&1 != 0 {
 				falseWhen = 1
 			}
-			s.occs[v] = append(s.occs[v], occurrence{ci: int32(ci), coef: int32(t.Coef), falseWhen: falseWhen})
-			s.initMax[ci] += int64(t.Coef)
-			if int64(t.Coef) > s.maxCoef[ci] {
-				s.maxCoef[ci] = int64(t.Coef)
-			}
+			s.occs[fill[l>>1]] = occurrence{ci: int32(ci), coef: coef, falseWhen: falseWhen}
+			fill[l>>1]++
+			s.initMax[ci] += int64(coef)
+			s.maxCoef[ci] = max(s.maxCoef[ci], coef)
 		}
 	}
 	copy(s.maxPossible, s.initMax)
 	return s
-}
-
-func (s *Solver) value(l Lit) int8 {
-	v := s.assign[l.Var-1]
-	if l.Neg {
-		return -v
-	}
-	return v
 }
 
 // assignLit records the assignment, updates the slack counters of every
@@ -222,9 +237,10 @@ func (s *Solver) assignLit(l Lit) {
 	if l.Neg {
 		val = -1
 	}
-	s.assign[l.Var-1] = val
+	v := l.Var - 1
+	s.assign[v] = val
 	s.trail = append(s.trail, l.Var)
-	for _, o := range s.occs[l.Var-1] {
+	for _, o := range s.occs[s.occStart[v]:s.occStart[v+1]] {
 		if o.falseWhen != val {
 			continue
 		}
@@ -236,11 +252,16 @@ func (s *Solver) assignLit(l Lit) {
 	}
 }
 
-// unassign undoes one trail entry, restoring the slack counters.
+// unassign undoes one trail entry, restoring the slack counters and
+// rewinding the fallback cursor.
 func (s *Solver) unassign(v Var) {
-	val := s.assign[v-1]
-	s.assign[v-1] = 0
-	for _, o := range s.occs[v-1] {
+	v--
+	val := s.assign[v]
+	s.assign[v] = 0
+	if int(v) < s.fallback {
+		s.fallback = int(v)
+	}
+	for _, o := range s.occs[s.occStart[v]:s.occStart[v+1]] {
 		if o.falseWhen == val {
 			s.maxPossible[o.ci] += int64(o.coef)
 		}
@@ -267,7 +288,7 @@ func (s *Solver) propagate(res *Result) bool {
 		ci := s.queue[len(s.queue)-1]
 		s.queue = s.queue[:len(s.queue)-1]
 		s.inQueue[ci] = false
-		slack := s.maxPossible[ci] - s.bounds[ci]
+		slack := s.maxPossible[ci] - int64(s.bounds[ci])
 		if slack < 0 {
 			// Conflict: clear the queue; the caller backtracks and
 			// re-seeds via assignLit of the flipped decision.
@@ -277,12 +298,12 @@ func (s *Solver) propagate(res *Result) bool {
 			s.queue = s.queue[:0]
 			return false
 		}
-		if s.maxCoef[ci] <= slack {
+		if int64(s.maxCoef[ci]) <= slack {
 			continue // no term outweighs the slack; nothing to force
 		}
-		for _, t := range s.p.constraints[ci].Terms {
-			if int64(t.Coef) > slack && s.value(t.Lit) == 0 {
-				s.assignLit(t.Lit)
+		for k := s.start[ci]; k < s.start[ci+1]; k++ {
+			if int64(s.coefs[k]) > slack && s.assign[s.lits[k]>>1] == 0 {
+				s.assignLit(unpackLit(s.lits[k]))
 				res.Propagated++
 			}
 		}
@@ -303,11 +324,10 @@ type decision struct {
 // without reallocating its indexes.
 func (s *Solver) Solve(branch Branching) Result {
 	res := Result{}
-	for len(s.trail) > 0 {
-		v := s.trail[len(s.trail)-1]
-		s.trail = s.trail[:len(s.trail)-1]
-		s.unassign(v)
-	}
+	clear(s.assign)
+	copy(s.maxPossible, s.initMax)
+	s.trail = s.trail[:0]
+	s.fallback = 0
 	s.enqueueAll()
 	if pb, ok := branch.(*PriorityBranching); ok {
 		pb.Reset()
@@ -323,7 +343,7 @@ func (s *Solver) Solve(branch Branching) Result {
 	for {
 		ok := s.propagate(&res)
 		if ok {
-			l, any := s.nextDecision(branch, isAssigned)
+			l, any := s.nextDecision(branch, isAssigned, &res)
 			if !any {
 				// All variables assigned (or none left to decide): model.
 				res.SAT = true
@@ -372,8 +392,10 @@ func (s *Solver) Solve(branch Branching) Result {
 }
 
 // nextDecision consults the branching, falling back to the first
-// unassigned variable with negative polarity.
-func (s *Solver) nextDecision(branch Branching, isAssigned func(Var) bool) (Lit, bool) {
+// unassigned variable with negative polarity (counted in
+// res.Fallbacks). The fallback cursor makes that lookup amortized O(1):
+// every variable below it is assigned, so the scan resumes there.
+func (s *Solver) nextDecision(branch Branching, isAssigned func(Var) bool, res *Result) (Lit, bool) {
 	if branch != nil {
 		if l, ok := branch.Next(isAssigned); ok {
 			if s.assign[l.Var-1] != 0 {
@@ -384,34 +406,32 @@ func (s *Solver) nextDecision(branch Branching, isAssigned func(Var) bool) (Lit,
 			return l, true
 		}
 	}
-	for i, v := range s.assign {
-		if v == 0 {
-			return Lit{Var: Var(i + 1), Neg: true}, true
-		}
+	for s.fallback < len(s.assign) && s.assign[s.fallback] != 0 {
+		s.fallback++
 	}
-	return Lit{}, false
+	if s.fallback == len(s.assign) {
+		return Lit{}, false
+	}
+	res.Fallbacks++
+	return Lit{Var: Var(s.fallback + 1), Neg: true}, true
 }
 
 // Verify checks a full assignment against every constraint and returns
 // the tags of violated constraints (empty means satisfied).
 func (p *Problem) Verify(a Assignment) []string {
 	var bad []string
-	for i := range p.constraints {
-		c := &p.constraints[i]
+	for ci, bound := range p.bounds {
 		sum := 0
-		for _, t := range c.Terms {
-			val := a.Get(t.Lit.Var)
-			if t.Lit.Neg {
-				val = !val
-			}
-			if val {
-				sum += t.Coef
+		for k := p.start[ci]; k < p.start[ci+1]; k++ {
+			l := unpackLit(p.lits[k])
+			if a.Get(l.Var) != l.Neg {
+				sum += int(p.coefs[k])
 			}
 		}
-		if sum < c.Bound {
-			tag := c.Tag
+		if sum < int(bound) {
+			tag := p.tags[ci]
 			if tag == "" {
-				tag = fmt.Sprintf("constraint#%d", i)
+				tag = fmt.Sprintf("constraint#%d", ci)
 			}
 			bad = append(bad, tag)
 		}

@@ -7,8 +7,9 @@ import (
 
 // refSolver is the pre-counter propagation engine kept verbatim as a
 // test oracle: propagate recomputes every touched constraint's
-// maxPossible from its terms, and every constraint mentioning a freshly
-// assigned variable is re-queued. The counter-based Solver must agree
+// maxPossible from its terms, every constraint mentioning a freshly
+// assigned variable is re-queued, and each fallback decision rescans
+// the assignment from index 0. The counter-based Solver must agree
 // with it verdict-for-verdict, model-for-model and count-for-count —
 // that equivalence is what makes the optimization invisible to the
 // deterministic decode pipeline.
@@ -29,15 +30,24 @@ func newRefSolver(p *Problem) *refSolver {
 		maxConflicts: 1_000_000,
 		assign:       make([]int8, p.NumVars()),
 		occurs:       make([][]int32, p.NumVars()),
-		inQueue:      make([]bool, len(p.constraints)),
+		inQueue:      make([]bool, p.NumConstraints()),
 	}
-	for ci := range p.constraints {
-		for _, t := range p.constraints[ci].Terms {
+	for ci := 0; ci < p.NumConstraints(); ci++ {
+		for _, t := range s.terms(ci) {
 			v := int(t.Lit.Var) - 1
 			s.occurs[v] = append(s.occurs[v], int32(ci))
 		}
 	}
 	return s
+}
+
+// terms unpacks constraint ci from the problem's flat storage.
+func (s *refSolver) terms(ci int) []Term {
+	var ts []Term
+	for k := s.p.start[ci]; k < s.p.start[ci+1]; k++ {
+		ts = append(ts, Term{Coef: int(s.p.coefs[k]), Lit: unpackLit(s.p.lits[k])})
+	}
+	return ts
 }
 
 func (s *refSolver) value(l Lit) int8 {
@@ -65,7 +75,7 @@ func (s *refSolver) assignLit(l Lit) {
 
 func (s *refSolver) enqueueAll() {
 	s.queue = s.queue[:0]
-	for ci := range s.p.constraints {
+	for ci := range s.inQueue {
 		s.inQueue[ci] = true
 		s.queue = append(s.queue, int32(ci))
 	}
@@ -76,14 +86,14 @@ func (s *refSolver) propagate(res *Result) bool {
 		ci := s.queue[len(s.queue)-1]
 		s.queue = s.queue[:len(s.queue)-1]
 		s.inQueue[ci] = false
-		c := &s.p.constraints[ci]
+		terms, bound := s.terms(int(ci)), int(s.p.bounds[ci])
 		maxPossible := 0
-		for _, t := range c.Terms {
+		for _, t := range terms {
 			if s.value(t.Lit) >= 0 {
 				maxPossible += t.Coef
 			}
 		}
-		if maxPossible < c.Bound {
+		if maxPossible < bound {
 			for _, qi := range s.queue {
 				s.inQueue[qi] = false
 			}
@@ -91,8 +101,8 @@ func (s *refSolver) propagate(res *Result) bool {
 			s.inQueue[ci] = false
 			return false
 		}
-		slack := maxPossible - c.Bound
-		for _, t := range c.Terms {
+		slack := maxPossible - bound
+		for _, t := range terms {
 			if s.value(t.Lit) == 0 && t.Coef > slack {
 				s.assignLit(t.Lit)
 				res.Propagated++
@@ -118,7 +128,7 @@ func (s *refSolver) solve(branch Branching) Result {
 	for {
 		ok := s.propagate(&res)
 		if ok {
-			l, any := s.nextDecision(branch, isAssigned)
+			l, any := s.nextDecision(branch, isAssigned, &res)
 			if !any {
 				res.SAT = true
 				res.Model = make(Assignment, len(s.assign))
@@ -160,7 +170,7 @@ func (s *refSolver) solve(branch Branching) Result {
 	}
 }
 
-func (s *refSolver) nextDecision(branch Branching, isAssigned func(Var) bool) (Lit, bool) {
+func (s *refSolver) nextDecision(branch Branching, isAssigned func(Var) bool, res *Result) (Lit, bool) {
 	if branch != nil {
 		if l, ok := branch.Next(isAssigned); ok {
 			return l, true
@@ -168,6 +178,7 @@ func (s *refSolver) nextDecision(branch Branching, isAssigned func(Var) bool) (L
 	}
 	for i, v := range s.assign {
 		if v == 0 {
+			res.Fallbacks++
 			return Lit{Var: Var(i + 1), Neg: true}, true
 		}
 	}
@@ -245,9 +256,9 @@ func TestCounterPropagationMatchesReference(t *testing.T) {
 		// cascade assigns before the conflict is detected depends on the
 		// queue order (and is rewound anyway); the search trajectory —
 		// decisions and conflicts — is the deterministic invariant.
-		if got.Decisions != want.Decisions || got.Conflicts != want.Conflicts {
-			t.Fatalf("round %d: stats (d=%d c=%d), oracle (d=%d c=%d)",
-				round, got.Decisions, got.Conflicts, want.Decisions, want.Conflicts)
+		if got.Decisions != want.Decisions || got.Conflicts != want.Conflicts || got.Fallbacks != want.Fallbacks {
+			t.Fatalf("round %d: stats (d=%d c=%d f=%d), oracle (d=%d c=%d f=%d)",
+				round, got.Decisions, got.Conflicts, got.Fallbacks, want.Decisions, want.Conflicts, want.Fallbacks)
 		}
 		if got.SAT {
 			for i := range got.Model {
@@ -259,6 +270,40 @@ func TestCounterPropagationMatchesReference(t *testing.T) {
 				t.Fatalf("round %d: model violates %v", round, bad)
 			}
 		}
+	}
+}
+
+// TestFallbackCursorRewind drives backtracking that unassigns a
+// variable below the fallback cursor. With a=false, b is propagated
+// and the cursor moves past it to decide c; both polarities of c then
+// conflict on d, so the search flips a, which frees b again. The cursor
+// must rewind to b: without the rewind b would never be decided and the
+// decision count would drop from 5 to 4.
+func TestFallbackCursorRewind(t *testing.T) {
+	p := NewProblem()
+	a, b, c, d := p.NewVar("a"), p.NewVar("b"), p.NewVar("c"), p.NewVar("d")
+	p.AddClause("a|b", Pos(a), Pos(b))
+	for _, lc := range []Lit{Pos(c), Not(c)} {
+		for _, ld := range []Lit{Pos(d), Not(d)} {
+			p.AddClause("b->(c,d)", Not(b), lc, ld)
+		}
+	}
+	got := NewSolver(p).Solve(nil)
+	want := newRefSolver(p).solve(nil)
+	if got.SAT != want.SAT || got.Decisions != want.Decisions || got.Conflicts != want.Conflicts || got.Fallbacks != want.Fallbacks {
+		t.Fatalf("solver (SAT=%v d=%d c=%d f=%d), oracle (SAT=%v d=%d c=%d f=%d)",
+			got.SAT, got.Decisions, got.Conflicts, got.Fallbacks, want.SAT, want.Decisions, want.Conflicts, want.Fallbacks)
+	}
+	if !got.SAT || got.Decisions != 5 || got.Fallbacks != 5 || got.Conflicts != 2 {
+		t.Fatalf("res = %+v, want SAT with 5 fallback decisions and 2 conflicts", got)
+	}
+	for i := range got.Model {
+		if got.Model[i] != want.Model[i] {
+			t.Fatalf("model differs at x%d", i+1)
+		}
+	}
+	if !got.Model.Get(a) || got.Model.Get(b) {
+		t.Fatalf("model = %v, want a=true b=false", got.Model)
 	}
 }
 
