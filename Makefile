@@ -98,7 +98,7 @@ bench:
 BENCHTIME ?= 1x
 BENCH_OUT ?= BENCH_9.json
 bench-json:
-	$(GO) test -run=NONE -bench 'DecodeEvaluate|DSEParallel|EvalThroughput|Fig5_DSE|TransferUnderErrors|IslandEpoch|FleetIngest|FleetRecovery' \
+	$(GO) test -run=NONE -bench 'DecodeEvaluate|DSEParallel|EvalThroughput|Fig5_DSE|TransferUnderErrors|IslandEpoch|FleetIngest|FleetRecovery|NewDecoderStateFull' \
 		-benchmem -benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
 

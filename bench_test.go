@@ -673,7 +673,7 @@ func BenchmarkSATDecodeFull(b *testing.B) {
 	st := enc.NewDecoderState()
 	rng := rand.New(rand.NewSource(3))
 	g := make([]float64, enc.GenotypeLen())
-	var decisions, conflicts, fallbacks int
+	var decisions, conflicts, fallbacks, propagations int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -687,10 +687,31 @@ func BenchmarkSATDecodeFull(b *testing.B) {
 		decisions += res.Decisions
 		conflicts += res.Conflicts
 		fallbacks += res.Fallbacks
+		propagations += res.Propagated
 	}
 	b.ReportMetric(float64(decisions)/float64(b.N), "decisions/op")
 	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
 	b.ReportMetric(float64(fallbacks)/float64(b.N), "fallbacks/op")
+	b.ReportMetric(float64(propagations)/float64(b.N), "propagations/op")
+}
+
+// BenchmarkNewDecoderStateFull measures one per-worker decode pipeline
+// on the full case study: the solver's index, its root propagation and
+// its residual problem, set up once per worker per campaign.
+func BenchmarkNewDecoderStateFull(b *testing.B) {
+	spec, err := casestudy.Build(casestudy.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := encode.Build(spec, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc.NewDecoderState()
+	}
 }
 
 // --- E12: fault-tolerant transfer ---------------------------------------

@@ -2,6 +2,7 @@ package encode
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/model"
 	"repro/internal/pbsat"
@@ -17,8 +18,8 @@ func (e *Encoding) GenotypeLen() int { return len(e.mapOrder) }
 // Routing variables are left to propagation and the solver fallback.
 // For the allocation-free per-worker path, use DecoderState instead.
 func (e *Encoding) Branching(genotype []float64) (pbsat.Branching, error) {
-	if len(genotype) != len(e.mapOrder) {
-		return nil, fmt.Errorf("encode: genotype length %d, want %d", len(genotype), len(e.mapOrder))
+	if err := e.checkGenotype(genotype); err != nil {
+		return nil, err
 	}
 	prio := make(map[pbsat.Var]float64, len(genotype))
 	pref := make(map[pbsat.Var]bool, len(genotype))
@@ -35,6 +36,20 @@ func (e *Encoding) Branching(genotype []float64) (pbsat.Branching, error) {
 		pref[v] = g >= 0.5
 	}
 	return pbsat.NewPriorityBranching(prio, pref), nil
+}
+
+// checkGenotype rejects a genotype of the wrong length or with a NaN
+// gene: a NaN priority has no place in the decision order.
+func (e *Encoding) checkGenotype(genotype []float64) error {
+	if len(genotype) != len(e.mapOrder) {
+		return fmt.Errorf("encode: genotype length %d, want %d", len(genotype), len(e.mapOrder))
+	}
+	for i, g := range genotype {
+		if math.IsNaN(g) {
+			return fmt.Errorf("encode: gene %d is NaN", i)
+		}
+	}
+	return nil
 }
 
 // DecoderState is the reusable per-worker decode pipeline: one PB
@@ -84,8 +99,8 @@ func (e *Encoding) NewDecoderState() *DecoderState {
 // Decode on the same state.
 func (d *DecoderState) Decode(genotype []float64, maxConflicts int) (*model.Implementation, *pbsat.Result, error) {
 	e := d.enc
-	if len(genotype) != len(e.mapOrder) {
-		return nil, nil, fmt.Errorf("encode: genotype length %d, want %d", len(genotype), len(e.mapOrder))
+	if err := e.checkGenotype(genotype); err != nil {
+		return nil, nil, err
 	}
 	for i, g := range genotype {
 		c := g - 0.5
@@ -183,23 +198,36 @@ func (e *Encoding) extractRoute(a pbsat.Assignment, msg *model.Message, srcRes, 
 	return model.Route{}, fmt.Errorf("encode: message %q route %v never reaches receiver %q", msg.ID, hops, dstRes)
 }
 
-// Stats summarizes the encoding size.
+// Stats summarizes the encoding size and what the solver's root
+// propagation leaves of it to search per decode.
 type Stats struct {
 	MappingVars int
 	RouteVars   int
 	StepVars    int
 	Constraints int
 	TMax        int
+	// RootFixedVars counts the variables fixed at decision level 0,
+	// identically for every genotype.
+	RootFixedVars int
+	// ResidualConstraints and ResidualTerms size the residual problem
+	// every decode searches (see pbsat.Solver).
+	ResidualConstraints int
+	ResidualTerms       int
 }
 
-// Stats returns the encoding size summary.
+// Stats returns the encoding size summary. It builds a solver to
+// measure the root fixpoint, so it costs about one NewDecoderState.
 func (e *Encoding) Stats() Stats {
+	root := pbsat.NewSolver(e.Problem).Root()
 	return Stats{
-		MappingVars: len(e.mapVars),
-		RouteVars:   len(e.routeVar),
-		StepVars:    len(e.stepVar),
-		Constraints: e.Problem.NumConstraints(),
-		TMax:        e.TMax,
+		MappingVars:         len(e.mapVars),
+		RouteVars:           len(e.routeVar),
+		StepVars:            len(e.stepVar),
+		Constraints:         e.Problem.NumConstraints(),
+		TMax:                e.TMax,
+		RootFixedVars:       root.FixedVars,
+		ResidualConstraints: root.ResidualConstraints,
+		ResidualTerms:       root.ResidualTerms,
 	}
 }
 

@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -331,6 +332,51 @@ func TestBranchingLengthValidation(t *testing.T) {
 	}
 	if _, err := e.Branching([]float64{0.5}); err == nil {
 		t.Fatal("wrong genotype length accepted")
+	}
+}
+
+// TestDecodeRejectsNaNGene: a NaN gene has no place in the priority
+// order, so both genotype entry points reject it instead of decoding
+// in an undefined order.
+func TestDecodeRejectsNaNGene(t *testing.T) {
+	e, err := Build(buildSpec(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := make([]float64, e.GenotypeLen())
+	for i := range g {
+		g[i] = 0.5
+	}
+	g[3] = math.NaN()
+	if _, _, err := e.NewDecoderState().Decode(g, 0); err == nil || !strings.Contains(err.Error(), "gene 3 is NaN") {
+		t.Fatalf("DecoderState.Decode error = %v, want gene 3 is NaN", err)
+	}
+	if _, err := e.Branching(g); err == nil {
+		t.Fatal("Branching accepted a NaN gene")
+	}
+}
+
+// TestStatsRootAndResidual pins the root fixpoint of the full case
+// study (15 ECUs × 36 profiles): the variables every decode finds
+// fixed, and the residual problem it searches instead of the whole
+// encoding.
+func TestStatsRootAndResidual(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full case-study PB encoding")
+	}
+	spec, err := casestudy.Build(casestudy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Build(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.Constraints != 118862 || st.RootFixedVars != 19304 ||
+		st.ResidualConstraints != 65611 || st.ResidualTerms != 167889 {
+		t.Fatalf("stats = %+v, want 118862 constraints, 19304 root-fixed variables, "+
+			"a residual of 65611 constraints and 167889 terms", st)
 	}
 }
 

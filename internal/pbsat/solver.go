@@ -1,8 +1,9 @@
 package pbsat
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Assignment is a model: value per variable, indexed 1..NumVars.
@@ -26,22 +27,24 @@ type Branching interface {
 // stored preferred polarity. A zero PriorityBranching is empty; (re)fill
 // it with SetDense to reuse its buffers across decodes.
 type PriorityBranching struct {
-	order []Lit     // sorted by priority desc, then variable asc
-	prio  []float64 // priority per order entry, co-sorted with order
+	order []prioLit // sorted by priority desc, then variable asc
 	pos   int
+}
+
+// prioLit is one decision-order entry: a packed literal and the
+// priority of its variable.
+type prioLit struct {
+	prio float64
+	lit  int32
 }
 
 // NewPriorityBranching builds a branching from per-variable priorities
 // and preferred values. Variables missing from the maps are left to the
 // solver's fallback.
 func NewPriorityBranching(priority map[Var]float64, preferTrue map[Var]bool) *PriorityBranching {
-	b := &PriorityBranching{
-		order: make([]Lit, 0, len(priority)),
-		prio:  make([]float64, 0, len(priority)),
-	}
-	for v := range priority {
-		b.order = append(b.order, Lit{Var: v, Neg: !preferTrue[v]})
-		b.prio = append(b.prio, priority[v])
+	b := &PriorityBranching{order: make([]prioLit, 0, len(priority))}
+	for v, p := range priority {
+		b.order = append(b.order, prioLit{prio: p, lit: packLit(Lit{Var: v, Neg: !preferTrue[v]})})
 	}
 	b.sortOrder()
 	return b
@@ -50,10 +53,7 @@ func NewPriorityBranching(priority map[Var]float64, preferTrue map[Var]bool) *Pr
 // NewDensePriorityBranching returns an empty branching with buffers
 // sized for n variables, ready for SetDense.
 func NewDensePriorityBranching(n int) *PriorityBranching {
-	return &PriorityBranching{
-		order: make([]Lit, 0, n),
-		prio:  make([]float64, 0, n),
-	}
+	return &PriorityBranching{order: make([]prioLit, 0, n)}
 }
 
 // SetDense rebuilds the decision order in place from dense per-variable
@@ -63,41 +63,29 @@ func NewDensePriorityBranching(n int) *PriorityBranching {
 // with the same contents: priority descending, ties by variable index.
 func (b *PriorityBranching) SetDense(priority []float64, preferTrue []bool) {
 	b.order = b.order[:0]
-	b.prio = b.prio[:0]
 	for i, p := range priority {
-		b.order = append(b.order, Lit{Var: Var(i + 1), Neg: !preferTrue[i]})
-		b.prio = append(b.prio, p)
+		b.order = append(b.order, prioLit{prio: p, lit: packLit(Lit{Var: Var(i + 1), Neg: !preferTrue[i]})})
 	}
 	b.sortOrder()
 	b.pos = 0
 }
 
 // sortOrder establishes the deterministic decision order: priority
-// descending, ties broken by ascending variable index.
+// descending, ties broken by ascending variable index. Variables are
+// distinct, so this is a total order and the permutation is unique.
 func (b *PriorityBranching) sortOrder() {
-	sort.Sort((*byPriority)(b))
-}
-
-// byPriority sorts order/prio together; it aliases PriorityBranching so
-// the sorter interface value never allocates per call.
-type byPriority PriorityBranching
-
-func (s *byPriority) Len() int { return len(s.order) }
-func (s *byPriority) Less(i, j int) bool {
-	if s.prio[i] != s.prio[j] {
-		return s.prio[i] > s.prio[j]
-	}
-	return s.order[i].Var < s.order[j].Var
-}
-func (s *byPriority) Swap(i, j int) {
-	s.order[i], s.order[j] = s.order[j], s.order[i]
-	s.prio[i], s.prio[j] = s.prio[j], s.prio[i]
+	slices.SortFunc(b.order, func(x, y prioLit) int {
+		if c := cmp.Compare(y.prio, x.prio); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.lit>>1, y.lit>>1)
+	})
 }
 
 // Next implements Branching.
 func (b *PriorityBranching) Next(isAssigned func(Var) bool) (Lit, bool) {
 	for b.pos < len(b.order) {
-		l := b.order[b.pos]
+		l := unpackLit(b.order[b.pos].lit)
 		if !isAssigned(l.Var) {
 			return l, true
 		}
@@ -129,14 +117,12 @@ type Result struct {
 	Aborted bool
 }
 
-// occurrence is one (constraint, term) incidence of a variable, carrying
-// everything the counter update needs: which constraint to touch, the
-// term's weight, and the assignment sign under which the term's literal
-// becomes false (-1 for a positive literal, +1 for a negated one).
+// occurrence is one residual term seen from its literal: the
+// constraint it belongs to and its weight. Occurrences are listed per
+// packed literal, so an assignment walks exactly the terms it falsifies.
 type occurrence struct {
-	ci        int32
-	coef      int32
-	falseWhen int8
+	ci   int32
+	coef int32
 }
 
 // Solver runs chronological DPLL with counter-based pseudo-Boolean unit
@@ -145,31 +131,43 @@ type occurrence struct {
 // terms on every visit. A Solver is reusable: Solve resets all search
 // state, so one Solver amortizes its index structures over many calls
 // (the SAT-decoding hot loop). It is not safe for concurrent use.
+//
+// NewSolver propagates the whole problem once at decision level 0 (the
+// root). Every Solve starts from that fixpoint and searches only the
+// residual problem: the constraints the root leaves unsatisfied, minus
+// their root-fixed terms, with bounds lowered by the root-true weight.
 type Solver struct {
 	// MaxConflicts bounds the search (0 = 1,000,000).
 	MaxConflicts int
 
-	// The problem's flat term arrays, shared, never written.
+	// The residual problem, in the Problem's CSR layout.
 	start  []int32
 	lits   []int32
 	coefs  []int32
 	bounds []int32
 
+	// The root fixpoint: its assignment, how many literals it
+	// propagated and whether it conflicts.
+	rootAssign   []int8
+	rootProp     int
+	rootFixed    int
+	rootConflict bool
+
 	assign []int8 // 1=true, -1=false, 0=unassigned; index var-1
-	trail  []Var
+	// trail lists the variables assigned since the root, in order.
+	trail []Var
 	// fallback is the first-unassigned cursor: every variable below
 	// index fallback is assigned. unassign rewinds it.
 	fallback int
 
-	// The occurrences of variable index v are occs[occStart[v]:occStart[v+1]]:
-	// its (constraint, coef, polarity) incidences, so an assignment
-	// updates exactly the counters it affects — and wakes only
-	// constraints whose slack shrank.
+	// The occurrences of packed literal l are occs[occStart[l]:occStart[l+1]],
+	// so an assignment updates exactly the counters of the terms it
+	// falsifies — and wakes only constraints whose slack shrank.
 	occStart []int32
 	occs     []occurrence
 
 	// maxPossible[ci] is the current Σ coef over terms whose literal is
-	// not yet false; initMax is its all-unassigned reset template.
+	// not yet false; initMax is its root reset template.
 	maxPossible []int64
 	initMax     []int64
 	maxCoef     []int32 // largest term weight, to skip no-op scans
@@ -181,11 +179,18 @@ type Solver struct {
 	modelBuf Assignment // backs Result.Model across calls
 }
 
-// NewSolver prepares a solver for the problem. The solver reads the
-// problem's constraints as they are now; constraints added later are
-// not seen.
+// NewSolver prepares a solver for the problem: it propagates the
+// problem's constraints at the root and keeps its own copy of the
+// residual problem. Constraints added to p later are not seen.
+//
+// Starting every Solve from the root fixpoint searches exactly as
+// propagating from scratch would: after the root propagation the queue
+// is empty, the search depends only on the assignment, the counters,
+// the fallback cursor and the branching, and backtracking never undoes
+// a root assignment. A dropped constraint's root-true weight already
+// meets its bound, so its slack is at least the weight of its free
+// terms: it can never force a literal or conflict.
 func NewSolver(p *Problem) *Solver {
-	n := p.NumConstraints()
 	nv := p.NumVars()
 	s := &Solver{
 		MaxConflicts: 1_000_000,
@@ -194,56 +199,134 @@ func NewSolver(p *Problem) *Solver {
 		coefs:        p.coefs,
 		bounds:       p.bounds,
 		assign:       make([]int8, nv),
-		occStart:     make([]int32, nv+1),
-		occs:         make([]occurrence, len(p.lits)),
-		maxPossible:  make([]int64, n),
-		initMax:      make([]int64, n),
-		maxCoef:      make([]int32, n),
-		inQueue:      make([]bool, n),
+		trail:        make([]Var, 0, nv),
+		occStart:     make([]int32, 2*nv+1),
+		queue:        make([]int32, 0, len(p.bounds)),
 	}
-	// Counting pass: occStart[v+1] holds variable v's occurrence count,
+	fill := make([]int32, 2*nv)
+	s.index(fill)
+	for ci := range s.bounds {
+		s.inQueue[ci] = true
+		s.queue = append(s.queue, int32(ci))
+	}
+	var res Result
+	s.rootConflict = !s.propagate(&res)
+	s.rootProp = res.Propagated
+	s.rootFixed = len(s.trail)
+	s.trail = s.trail[:0]
+	s.rootAssign = s.assign
+	s.assign = make([]int8, nv)
+	if !s.rootConflict {
+		s.residual()
+		s.index(fill)
+	}
+	return s
+}
+
+// index builds the occurrence lists and the per-constraint counters
+// over the solver's term arrays. fill is scratch of length 2·NumVars.
+func (s *Solver) index(fill []int32) {
+	n := len(s.bounds)
+	clear(s.occStart)
+	// Counting pass: occStart[l+1] holds literal l's occurrence count,
 	// prefix-summed into row offsets.
 	for _, l := range s.lits {
-		s.occStart[l>>1+1]++
+		s.occStart[l+1]++
 	}
-	for v := 0; v < nv; v++ {
-		s.occStart[v+1] += s.occStart[v]
+	for l := range fill {
+		s.occStart[l+1] += s.occStart[l]
 	}
-	fill := make([]int32, nv)
-	copy(fill, s.occStart[:nv])
+	copy(fill, s.occStart)
+	s.occs = make([]occurrence, len(s.lits))
+	s.initMax = make([]int64, n)
+	s.maxCoef = make([]int32, n)
 	for ci := 0; ci < n; ci++ {
 		for k := s.start[ci]; k < s.start[ci+1]; k++ {
 			l, coef := s.lits[k], s.coefs[k]
-			falseWhen := int8(-1)
-			if l&1 != 0 {
-				falseWhen = 1
-			}
-			s.occs[fill[l>>1]] = occurrence{ci: int32(ci), coef: coef, falseWhen: falseWhen}
-			fill[l>>1]++
+			s.occs[fill[l]] = occurrence{ci: int32(ci), coef: coef}
+			fill[l]++
 			s.initMax[ci] += int64(coef)
 			s.maxCoef[ci] = max(s.maxCoef[ci], coef)
 		}
 	}
-	copy(s.maxPossible, s.initMax)
-	return s
+	s.maxPossible = slices.Clone(s.initMax)
+	s.inQueue = make([]bool, n)
 }
 
-// assignLit records the assignment, updates the slack counters of every
-// constraint a falsified term belongs to, and wakes those constraints.
-// Constraints where the literal became true are not queued: their slack
-// is unchanged, so no new propagation or conflict can arise from them.
-func (s *Solver) assignLit(l Lit) {
-	val := int8(1)
-	if l.Neg {
-		val = -1
+// residual replaces the term arrays by the residual problem. A
+// counting pass computes each constraint's residual bound (0 when the
+// root satisfies it) and sizes the arrays; the fill pass keeps
+// constraint and term order.
+func (s *Solver) residual() {
+	rbound := make([]int32, len(s.bounds))
+	var nc, nt int
+	for ci, bound := range s.bounds {
+		var sat int64
+		free := 0
+		for k := s.start[ci]; k < s.start[ci+1]; k++ {
+			l := s.lits[k]
+			switch v := s.rootAssign[l>>1]; {
+			case v == 0:
+				free++
+			case (v > 0) == (l&1 == 0):
+				sat += int64(s.coefs[k])
+			}
+		}
+		if sat < int64(bound) {
+			rbound[ci] = bound - int32(sat)
+			nc++
+			nt += free
+		}
 	}
-	v := l.Var - 1
-	s.assign[v] = val
-	s.trail = append(s.trail, l.Var)
-	for _, o := range s.occs[s.occStart[v]:s.occStart[v+1]] {
-		if o.falseWhen != val {
+	start := make([]int32, 1, nc+1)
+	lits := make([]int32, 0, nt)
+	coefs := make([]int32, 0, nt)
+	bounds := make([]int32, 0, nc)
+	for ci, b := range rbound {
+		if b == 0 {
 			continue
 		}
+		for k := s.start[ci]; k < s.start[ci+1]; k++ {
+			if s.rootAssign[s.lits[k]>>1] == 0 {
+				lits = append(lits, s.lits[k])
+				coefs = append(coefs, s.coefs[k])
+			}
+		}
+		start = append(start, int32(len(lits)))
+		bounds = append(bounds, b)
+	}
+	s.start, s.lits, s.coefs, s.bounds = start, lits, coefs, bounds
+}
+
+// RootStats describes the root fixpoint and the residual problem a
+// Solver searches. After a root conflict Solve does not search, and the
+// residual is the whole problem.
+type RootStats struct {
+	FixedVars           int // variables the root propagation assigns
+	ResidualConstraints int
+	ResidualTerms       int
+}
+
+// Root reports the solver's root fixpoint and residual problem size.
+func (s *Solver) Root() RootStats {
+	return RootStats{
+		FixedVars:           s.rootFixed,
+		ResidualConstraints: len(s.bounds),
+		ResidualTerms:       len(s.lits),
+	}
+}
+
+// assignLit makes packed literal l true, updates the slack counters of
+// every constraint its complement belongs to, and wakes those
+// constraints. Constraints where the literal became true are not
+// queued: their slack is unchanged, so no new propagation or conflict
+// can arise from them.
+func (s *Solver) assignLit(l int32) {
+	v := l >> 1
+	s.assign[v] = 1 - 2*int8(l&1)
+	s.trail = append(s.trail, Var(v+1))
+	f := l ^ 1
+	for _, o := range s.occs[s.occStart[f]:s.occStart[f+1]] {
 		s.maxPossible[o.ci] -= int64(o.coef)
 		if !s.inQueue[o.ci] {
 			s.inQueue[o.ci] = true
@@ -256,24 +339,16 @@ func (s *Solver) assignLit(l Lit) {
 // rewinding the fallback cursor.
 func (s *Solver) unassign(v Var) {
 	v--
-	val := s.assign[v]
+	f := int32(v) << 1
+	if s.assign[v] > 0 {
+		f |= 1 // the negative literal was false
+	}
 	s.assign[v] = 0
 	if int(v) < s.fallback {
 		s.fallback = int(v)
 	}
-	for _, o := range s.occs[s.occStart[v]:s.occStart[v+1]] {
-		if o.falseWhen == val {
-			s.maxPossible[o.ci] += int64(o.coef)
-		}
-	}
-}
-
-// enqueueAll schedules every constraint for one initial check.
-func (s *Solver) enqueueAll() {
-	s.queue = s.queue[:0]
-	for ci := range s.inQueue {
-		s.inQueue[ci] = true
-		s.queue = append(s.queue, int32(ci))
+	for _, o := range s.occs[s.occStart[f]:s.occStart[f+1]] {
+		s.maxPossible[o.ci] += int64(o.coef)
 	}
 }
 
@@ -303,7 +378,7 @@ func (s *Solver) propagate(res *Result) bool {
 		}
 		for k := s.start[ci]; k < s.start[ci+1]; k++ {
 			if int64(s.coefs[k]) > slack && s.assign[s.lits[k]>>1] == 0 {
-				s.assignLit(unpackLit(s.lits[k]))
+				s.assignLit(s.lits[k])
 				res.Propagated++
 			}
 		}
@@ -320,18 +395,21 @@ type decision struct {
 
 // Solve searches for a model, deciding variables in the order supplied
 // by branch (nil uses plain first-unassigned/false-first). All search
-// state is rewound first, so the same Solver can serve many Solve calls
-// without reallocating its indexes.
+// state is rewound to the root fixpoint first, so the same Solver can
+// serve many Solve calls without reallocating its indexes.
 func (s *Solver) Solve(branch Branching) Result {
-	res := Result{}
-	clear(s.assign)
-	copy(s.maxPossible, s.initMax)
-	s.trail = s.trail[:0]
-	s.fallback = 0
-	s.enqueueAll()
 	if pb, ok := branch.(*PriorityBranching); ok {
 		pb.Reset()
 	}
+	res := Result{Propagated: s.rootProp}
+	if s.rootConflict {
+		res.Conflicts = 1
+		return res
+	}
+	copy(s.assign, s.rootAssign)
+	copy(s.maxPossible, s.initMax)
+	s.trail = s.trail[:0]
+	s.fallback = 0
 	isAssigned := func(v Var) bool { return s.assign[v-1] != 0 }
 
 	s.stack = s.stack[:0]
@@ -357,7 +435,7 @@ func (s *Solver) Solve(branch Branching) Result {
 				return res
 			}
 			s.stack = append(s.stack, decision{trailLen: len(s.trail), lit: l})
-			s.assignLit(l)
+			s.assignLit(packLit(l))
 			res.Decisions++
 			continue
 		}
@@ -379,7 +457,7 @@ func (s *Solver) Solve(branch Branching) Result {
 			if !top.flipped {
 				top.flipped = true
 				top.lit = top.lit.Negated()
-				s.assignLit(top.lit)
+				s.assignLit(packLit(top.lit))
 				flipped = true
 				break
 			}

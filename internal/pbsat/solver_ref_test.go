@@ -1,6 +1,7 @@
 package pbsat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -247,25 +248,12 @@ func TestCounterPropagationMatchesReference(t *testing.T) {
 			branch = br
 		}
 		got := NewSolver(p).Solve(branch)
-		want := newRefSolver(p).solve(branch)
-		if got.SAT != want.SAT || got.Aborted != want.Aborted {
-			t.Fatalf("round %d: verdict (SAT=%v aborted=%v), oracle (SAT=%v aborted=%v)",
-				round, got.SAT, got.Aborted, want.SAT, want.Aborted)
-		}
 		// Propagated is not compared: how many literals a conflicting
 		// cascade assigns before the conflict is detected depends on the
 		// queue order (and is rewound anyway); the search trajectory —
 		// decisions and conflicts — is the deterministic invariant.
-		if got.Decisions != want.Decisions || got.Conflicts != want.Conflicts || got.Fallbacks != want.Fallbacks {
-			t.Fatalf("round %d: stats (d=%d c=%d f=%d), oracle (d=%d c=%d f=%d)",
-				round, got.Decisions, got.Conflicts, got.Fallbacks, want.Decisions, want.Conflicts, want.Fallbacks)
-		}
+		sameSearch(t, fmt.Sprintf("round %d", round), got, newRefSolver(p).solve(branch))
 		if got.SAT {
-			for i := range got.Model {
-				if got.Model[i] != want.Model[i] {
-					t.Fatalf("round %d: model differs at x%d", round, i+1)
-				}
-			}
 			if bad := p.Verify(got.Model); len(bad) != 0 {
 				t.Fatalf("round %d: model violates %v", round, bad)
 			}
@@ -289,18 +277,9 @@ func TestFallbackCursorRewind(t *testing.T) {
 		}
 	}
 	got := NewSolver(p).Solve(nil)
-	want := newRefSolver(p).solve(nil)
-	if got.SAT != want.SAT || got.Decisions != want.Decisions || got.Conflicts != want.Conflicts || got.Fallbacks != want.Fallbacks {
-		t.Fatalf("solver (SAT=%v d=%d c=%d f=%d), oracle (SAT=%v d=%d c=%d f=%d)",
-			got.SAT, got.Decisions, got.Conflicts, got.Fallbacks, want.SAT, want.Decisions, want.Conflicts, want.Fallbacks)
-	}
+	sameSearch(t, "cursor rewind", got, newRefSolver(p).solve(nil))
 	if !got.SAT || got.Decisions != 5 || got.Fallbacks != 5 || got.Conflicts != 2 {
 		t.Fatalf("res = %+v, want SAT with 5 fallback decisions and 2 conflicts", got)
-	}
-	for i := range got.Model {
-		if got.Model[i] != want.Model[i] {
-			t.Fatalf("model differs at x%d", i+1)
-		}
 	}
 	if !got.Model.Get(a) || got.Model.Get(b) {
 		t.Fatalf("model = %v, want a=true b=false", got.Model)
@@ -370,5 +349,146 @@ func TestSetDenseMatchesMapConstructor(t *testing.T) {
 				t.Fatalf("round %d: order[%d] = %v vs %v", round, i, dense.order[i], ref.order[i])
 			}
 		}
+	}
+}
+
+// sameSearch fails unless got and the oracle's want agree on verdict,
+// decisions, conflicts, fallbacks and model.
+func sameSearch(t *testing.T, name string, got, want Result) {
+	t.Helper()
+	if got.SAT != want.SAT || got.Aborted != want.Aborted || got.Decisions != want.Decisions ||
+		got.Conflicts != want.Conflicts || got.Fallbacks != want.Fallbacks {
+		t.Fatalf("%s: solver (SAT=%v aborted=%v d=%d c=%d f=%d), oracle (SAT=%v aborted=%v d=%d c=%d f=%d)",
+			name, got.SAT, got.Aborted, got.Decisions, got.Conflicts, got.Fallbacks,
+			want.SAT, want.Aborted, want.Decisions, want.Conflicts, want.Fallbacks)
+	}
+	if got.SAT {
+		for i := range got.Model {
+			if got.Model[i] != want.Model[i] {
+				t.Fatalf("%s: model differs at x%d", name, i+1)
+			}
+		}
+	}
+}
+
+// TestRootConflict: a problem that conflicts at the root is UNSAT
+// without a decision and with exactly one conflict, as the oracle finds
+// when it propagates from scratch.
+func TestRootConflict(t *testing.T) {
+	p := NewProblem()
+	x, y := p.NewVar("x"), p.NewVar("y")
+	p.AddClause("x", Pos(x))
+	p.Implies(Pos(x), Pos(y), "x->y")
+	p.AddClause("~y", Not(y))
+	s := NewSolver(p)
+	for call := 0; call < 2; call++ {
+		got := s.Solve(nil)
+		sameSearch(t, "root conflict", got, newRefSolver(p).solve(nil))
+		if got.SAT || got.Aborted || got.Decisions != 0 || got.Conflicts != 1 {
+			t.Fatalf("call %d: res = %+v, want UNSAT with 0 decisions and 1 conflict", call, got)
+		}
+	}
+}
+
+// TestRootFixesEverything: when the root propagation assigns every
+// variable, Solve returns the model without a decision and the
+// residual problem is empty.
+func TestRootFixesEverything(t *testing.T) {
+	p := NewProblem()
+	x, y, z := p.NewVar("x"), p.NewVar("y"), p.NewVar("z")
+	p.AddClause("x", Pos(x))
+	p.Implies(Pos(x), Pos(y), "x->y")
+	p.Implies(Pos(y), Not(z), "y->~z")
+	s := NewSolver(p)
+	if r := s.Root(); r.FixedVars != 3 || r.ResidualConstraints != 0 || r.ResidualTerms != 0 {
+		t.Fatalf("root = %+v, want 3 fixed variables and an empty residual", r)
+	}
+	got := s.Solve(nil)
+	sameSearch(t, "root fixes all", got, newRefSolver(p).solve(nil))
+	if !got.SAT || got.Decisions != 0 || got.Propagated != 3 {
+		t.Fatalf("res = %+v, want SAT with 0 decisions and 3 propagated", got)
+	}
+	if !got.Model.Get(x) || !got.Model.Get(y) || got.Model.Get(z) {
+		t.Fatalf("model = %v, want x, y, ~z", got.Model)
+	}
+}
+
+// TestResidualDropsRootSatisfied: a constraint the root satisfies is
+// not in the residual problem, a partly satisfied one keeps its free
+// terms with a lowered bound, and decisions that falsify the dropped
+// constraint's other terms still decode as the oracle does.
+func TestResidualDropsRootSatisfied(t *testing.T) {
+	p := NewProblem()
+	a, b, c, d := p.NewVar("a"), p.NewVar("b"), p.NewVar("c"), p.NewVar("d")
+	p.AddClause("a", Pos(a))
+	p.AddClause("a|b|c", Pos(a), Pos(b), Pos(c)) // satisfied at the root
+	p.AddGE([]Term{{2, Pos(a)}, {1, Pos(b)}, {1, Pos(c)}, {1, Pos(d)}}, 3, "2a+b+c+d>=3")
+	s := NewSolver(p)
+	if r := s.Root(); r.FixedVars != 1 || r.ResidualConstraints != 1 || r.ResidualTerms != 3 {
+		t.Fatalf("root = %+v, want 1 fixed variable and a residual of 1 constraint, 3 terms", r)
+	}
+	if s.bounds[0] != 1 {
+		t.Fatalf("residual bound = %d, want 3 - 2 = 1", s.bounds[0])
+	}
+	// Deciding b and c false first falsifies both free terms of the
+	// dropped clause and forces d through the residual constraint.
+	br := NewPriorityBranching(map[Var]float64{b: 2, c: 1}, map[Var]bool{})
+	got := s.Solve(br)
+	sameSearch(t, "residual", got, newRefSolver(p).solve(br))
+	if !got.SAT || got.Decisions != 2 || got.Propagated != 2 || !got.Model.Get(d) {
+		t.Fatalf("res = %+v, want SAT after 2 decisions with a and d propagated", got)
+	}
+	if bad := p.Verify(got.Model); len(bad) != 0 {
+		t.Fatalf("model violates %v", bad)
+	}
+}
+
+// TestSolveRestartsFromRoot: consecutive Solve calls on one Solver with
+// different branchings, the first one aborted mid-search, each search
+// exactly as a fresh Solver and the oracle do: no assignment, counter,
+// queue entry or cursor position leaks from one call into the next.
+func TestSolveRestartsFromRoot(t *testing.T) {
+	p := NewProblem()
+	e, a, b, c, d := p.NewVar("e"), p.NewVar("a"), p.NewVar("b"), p.NewVar("c"), p.NewVar("d")
+	p.AddClause("e", Pos(e))
+	p.AddClause("e|a|b", Pos(e), Pos(a), Pos(b))
+	p.AddClause("a|b", Pos(a), Pos(b))
+	for _, lc := range []Lit{Pos(c), Not(c)} {
+		for _, ld := range []Lit{Pos(d), Not(d)} {
+			p.AddClause("b->(c,d)", Not(b), lc, ld)
+		}
+	}
+	preferA := NewPriorityBranching(map[Var]float64{a: 1}, map[Var]bool{a: true})
+	calls := []struct {
+		branch       Branching
+		maxConflicts int
+	}{
+		{nil, 1}, // aborts at its second conflict, deep in the search
+		{preferA, 0},
+		{nil, 0},
+		{preferA, 0},
+	}
+	s := NewSolver(p)
+	for i, call := range calls {
+		s.MaxConflicts = call.maxConflicts
+		got := s.Solve(call.branch)
+		fresh := NewSolver(p)
+		fresh.MaxConflicts = call.maxConflicts
+		want := fresh.Solve(call.branch)
+		ref := newRefSolver(p)
+		if call.maxConflicts > 0 {
+			ref.maxConflicts = call.maxConflicts
+		}
+		if i == 0 && !got.Aborted {
+			t.Fatalf("call 0: res = %+v, want an aborted search", got)
+		}
+		sameSearch(t, "reused vs oracle", got, ref.solve(call.branch))
+		sameSearch(t, "reused vs fresh", got, want)
+		if got.Propagated != want.Propagated {
+			t.Fatalf("call %d: propagated %d, fresh solver %d", i, got.Propagated, want.Propagated)
+		}
+	}
+	if s.Root().FixedVars != 1 {
+		t.Fatalf("root = %+v, want e fixed", s.Root())
 	}
 }
