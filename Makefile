@@ -5,9 +5,9 @@ GO ?= go
 
 .PHONY: ci build fmt-check vet test race bench-smoke bench bench-json \
 	bench-gate island-smoke resume-smoke sigint-smoke robust-smoke shard-smoke \
-	fleet-smoke obs-smoke crash-smoke
+	fleet-smoke obs-smoke crash-smoke fuzz-smoke
 
-ci: build fmt-check vet test race bench-smoke resume-smoke sigint-smoke robust-smoke island-smoke shard-smoke fleet-smoke obs-smoke crash-smoke
+ci: build fmt-check vet test race bench-smoke resume-smoke sigint-smoke robust-smoke island-smoke shard-smoke fleet-smoke obs-smoke crash-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -274,3 +274,13 @@ obs-smoke:
 	done; \
 	kill -TERM $$pid; wait $$pid >/dev/null 2>&1 || true; \
 	echo "obs-smoke: /metrics served the unified registry series"
+
+# Coverage-guided fuzzing of the gateway's parsers: the record decoder,
+# its differential check against the reflection-based reference decoder,
+# and the Export container, $(FUZZTIME) each. `make test` only replays
+# the seed corpora.
+FUZZTIME ?= 30s
+fuzz-smoke:
+	@for f in FuzzUnmarshal FuzzUnmarshalMatchesReference FuzzImport; do \
+		$(GO) test ./internal/gateway/ -run=NONE -fuzz="^$$f\$$" -fuzztime=$(FUZZTIME) || exit 1; \
+	done

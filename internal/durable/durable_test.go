@@ -255,6 +255,55 @@ func TestMidLogCorruption(t *testing.T) {
 	}
 }
 
+// TestGarbageAfterSealedSegment: bytes appended behind the last frame
+// of a sealed segment are cut, and replay goes on into the next
+// segment, which starts at the very next LSN — no fsynced commit is
+// lost. A corrupt frame inside the sealed segment still leaves a gap,
+// and replay stops there as before.
+func TestGarbageAfterSealedSegment(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		harm func(raw []byte) []byte
+		keep int // entries recovered: all 30, or the 20 the newest snapshot holds
+	}{
+		{"garbage after last frame", func(raw []byte) []byte { return append(raw, 0xde, 0xad, 0xbe, 0xef) }, 30},
+		{"corrupt frame inside", func(raw []byte) []byte {
+			raw[len(walMagic)+8+frameHeader+10] ^= 0xFF // inside the segment's first frame
+			return raw
+		}, 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := NewMemFS()
+			opts := Options{SnapshotEvery: 1000, KeepSnapshots: 2}
+			st, o, _ := openOwner(t, fs, "d", opts)
+			var want []string
+			// Two snapshots, each sealing the active segment: segment 11
+			// (LSNs 11–20) is sealed and retained, segment 21 is active.
+			for i := 0; i < 2; i++ {
+				want = append(want, appendN(t, st, o, 10*i, 10)...)
+				if err := st.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want = append(want, appendN(t, st, o, 20, 10)...)
+			st.Kill()
+			segs := segmentFiles(t, fs, "d")
+			if len(segs) != 2 {
+				t.Fatalf("segments %v, want 2", segs)
+			}
+			raw, _ := fs.ReadFile("d/" + segs[0])
+			fs.WriteFile("d/"+segs[0], tc.harm(raw))
+
+			st2, o2, rec := openOwner(t, fs, "d", opts)
+			defer st2.Close()
+			wantEntries(t, o2, want[:tc.keep])
+			if rec.TruncatedBytes == 0 {
+				t.Fatalf("recovery = %+v, want truncated bytes", rec)
+			}
+		})
+	}
+}
+
 func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 	fs := NewMemFS()
 	st, o, _ := openOwner(t, fs, "d", Options{SnapshotEvery: 1 << 30, KeepSnapshots: 2})

@@ -216,7 +216,8 @@ func (s *Store) recover() (Recovery, error) {
 	}
 	s.snapLSN.Store(rec.SnapshotLSN)
 
-	// Replay segments in base-LSN order, stopping at the first tear.
+	// Replay segments in base-LSN order, stopping at the first tear that
+	// leaves a gap.
 	last := rec.SnapshotLSN
 	highest := rec.SnapshotLSN
 	for i, base := range segs {
@@ -249,13 +250,19 @@ func (s *Store) recover() (Recovery, error) {
 			} else if err := fs.Truncate(name, res.validBytes); err != nil {
 				return rec, fmt.Errorf("durable: truncate torn segment %d: %w", base, err)
 			}
-			for _, later := range segs[i+1:] {
-				if err := fs.Remove(s.path(segName(later))); err != nil {
-					return rec, fmt.Errorf("durable: drop segment %d past tear: %w", later, err)
+			// Garbage after the last frame of a sealed segment whose
+			// successor starts at the very next LSN leaves no gap in the
+			// log: keep replaying. Dropping the later segments would
+			// lose fsynced commits.
+			if res.lastLSN == 0 || i+1 == len(segs) || segs[i+1] != res.lastLSN+1 {
+				for _, later := range segs[i+1:] {
+					if err := fs.Remove(s.path(segName(later))); err != nil {
+						return rec, fmt.Errorf("durable: drop segment %d past tear: %w", later, err)
+					}
+					rec.RemovedSegments++
 				}
-				rec.RemovedSegments++
+				break
 			}
-			break
 		}
 		if res.lastLSN > last {
 			last = res.lastLSN

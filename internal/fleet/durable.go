@@ -325,15 +325,15 @@ func (s *Server) restoreState(data []byte) error {
 		sh.mu.Lock()
 		vs := &vehicleState{ecus: make(map[string]*ecuState, len(ecus))}
 		for name, se := range ecus {
-			vs.ecus[name] = &ecuState{
-				Sessions:      se.Sessions,
-				LastSession:   se.LastSession,
-				LastCommitted: se.LastCommitted,
-				FailSessions:  se.FailSessions,
-				Failing:       se.Failing,
-				LastEntries:   se.LastEntries,
-				LastWindows:   se.LastWindows,
-			}
+			es := newECUState(vehicle, name)
+			es.Sessions = se.Sessions
+			es.LastSession = se.LastSession
+			es.LastCommitted = se.LastCommitted
+			es.FailSessions = se.FailSessions
+			es.Failing = se.Failing
+			es.LastEntries = se.LastEntries
+			es.LastWindows = se.LastWindows
+			vs.ecus[name] = es
 		}
 		sh.vehicles[vehicle] = vs
 		sh.mu.Unlock()
@@ -373,7 +373,7 @@ func (s *Server) applyEntry(lsn uint64, entry []byte) error {
 	}
 	es := vs.ecus[e.ecu]
 	if es == nil {
-		es = &ecuState{}
+		es = newECUState(e.vehicle, e.ecu)
 		vs.ecus[e.ecu] = es
 	}
 	sh.stats.Chunks += e.chunks
@@ -385,6 +385,6 @@ func (s *Server) applyEntry(lsn uint64, entry []byte) error {
 			return fmt.Errorf("fleet: commit entry record: %w", err)
 		}
 	}
-	sh.applyCommit(es, e.outcome, e.session, e.chunks, e.chunkErrors, rec, e.vehicle, e.ecu)
+	sh.applyCommit(es, e.outcome, e.session, e.chunks, e.chunkErrors, rec)
 	return nil
 }

@@ -230,6 +230,14 @@ type ecuState struct {
 	// LastEntries/LastWindows describe the most recent fail data.
 	LastEntries int
 	LastWindows int
+
+	// label is "vehicle/ECU", the name stored records carry in the
+	// shard's collector, built once when the stream is first seen.
+	label string
+}
+
+func newECUState(vehicle, ecu string) *ecuState {
+	return &ecuState{label: vehicle + "/" + ecu}
 }
 
 // counters are one shard's monotonic ingest statistics.
@@ -297,7 +305,7 @@ func (sh *shard) ingest(vehicle, ecu string, c gateway.Chunk) error {
 	}
 	es := vs.ecus[ecu]
 	if es == nil {
-		es = &ecuState{}
+		es = newECUState(vehicle, ecu)
 		vs.ecus[ecu] = es
 	}
 
@@ -385,7 +393,7 @@ func (sh *shard) ingest(vehicle, ecu string, c gateway.Chunk) error {
 	if sh.obs != nil && !os.openedAt.IsZero() {
 		sh.obs.ObserveSince(obs.StageSessionAssembly, os.openedAt)
 	}
-	sh.applyCommit(es, outcome, c.Session, os.chunks, os.chunkErrors, rec, vehicle, ecu)
+	sh.applyCommit(es, outcome, c.Session, os.chunks, os.chunkErrors, rec)
 	sh.recycleSession(os)
 	return retErr
 }
@@ -393,7 +401,7 @@ func (sh *shard) ingest(vehicle, ecu string, c gateway.Chunk) error {
 // applyCommit folds one committed session outcome into the shard —
 // the single mutation point shared by live ingest and WAL replay, so
 // both roads lead to identical state.
-func (sh *shard) applyCommit(es *ecuState, outcome byte, session uint32, chunks, chunkErrors uint64, rec gateway.Record, vehicle, ecu string) {
+func (sh *shard) applyCommit(es *ecuState, outcome byte, session uint32, chunks, chunkErrors uint64, rec gateway.Record) {
 	cc := &sh.srv.committed
 	cc.chunks.Add(chunks)
 	cc.chunkErrors.Add(chunkErrors)
@@ -404,9 +412,8 @@ func (sh *shard) applyCommit(es *ecuState, outcome byte, session uint32, chunks,
 		cc.corrupt.Add(1)
 		return
 	}
-	stored := rec
-	stored.ECU = vehicle + "/" + ecu
-	sh.collector.Store(stored)
+	rec.ECU = es.label
+	sh.collector.Store(rec)
 
 	es.Sessions++
 	es.LastSession = rec.Session

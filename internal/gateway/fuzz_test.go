@@ -1,8 +1,16 @@
 package gateway
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/stumps"
 )
 
 // FuzzUnmarshal feeds arbitrary bytes through the wire-format parser:
@@ -54,6 +62,96 @@ func FuzzUnmarshal(f *testing.F) {
 			if _, err := Unmarshal(b[:cut]); !errors.Is(err, ErrTruncated) {
 				t.Fatalf("mid-name truncation accepted: %v", err)
 			}
+		}
+	})
+}
+
+// refUnmarshal is the original reflection-based decoder, one
+// binary.Read per field: the differential oracle for Unmarshal.
+func refUnmarshal(data []byte) (Record, error) {
+	buf := bytes.NewReader(data)
+	var r Record
+	var ecuLen, windows, nEntries uint16
+	if err := binary.Read(buf, binary.LittleEndian, &r.Session); err != nil {
+		return Record{}, fmt.Errorf("%w: session: %v", ErrTruncated, err)
+	}
+	if err := binary.Read(buf, binary.LittleEndian, &ecuLen); err != nil {
+		return Record{}, fmt.Errorf("%w: name length: %v", ErrTruncated, err)
+	}
+	name := make([]byte, ecuLen)
+	if _, err := io.ReadFull(buf, name); err != nil {
+		return Record{}, fmt.Errorf("%w: ECU name: %v", ErrTruncated, err)
+	}
+	r.ECU = string(name)
+	if err := binary.Read(buf, binary.LittleEndian, &windows); err != nil {
+		return Record{}, fmt.Errorf("%w: windows: %v", ErrTruncated, err)
+	}
+	if err := binary.Read(buf, binary.LittleEndian, &nEntries); err != nil {
+		return Record{}, fmt.Errorf("%w: entry count: %v", ErrTruncated, err)
+	}
+	r.Fail.Windows = int(windows)
+	for i := 0; i < int(nEntries); i++ {
+		var w uint16
+		var e stumps.FailEntry
+		if err := binary.Read(buf, binary.LittleEndian, &w); err != nil {
+			return Record{}, fmt.Errorf("%w: entry %d: %v", ErrTruncated, i, err)
+		}
+		if err := binary.Read(buf, binary.LittleEndian, &e.Got); err != nil {
+			return Record{}, fmt.Errorf("%w: entry %d: %v", ErrTruncated, i, err)
+		}
+		if err := binary.Read(buf, binary.LittleEndian, &e.Want); err != nil {
+			return Record{}, fmt.Errorf("%w: entry %d: %v", ErrTruncated, i, err)
+		}
+		e.Window = int(w)
+		r.Fail.Entries = append(r.Fail.Entries, e)
+	}
+	if buf.Len() != 0 {
+		return Record{}, fmt.Errorf("%w: %d trailing bytes", ErrTrailingGarbage, buf.Len())
+	}
+	return r, nil
+}
+
+// errClass names the typed wire-format error err carries.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "accepted"
+	case errors.Is(err, ErrTruncated):
+		return "ErrTruncated"
+	case errors.Is(err, ErrTrailingGarbage):
+		return "ErrTrailingGarbage"
+	}
+	return "untyped: " + err.Error()
+}
+
+// FuzzUnmarshalMatchesReference decodes every input with Unmarshal and
+// with refUnmarshal: both must accept or reject it alike, with the same
+// error class, and accepted records must be deeply equal — a nil versus
+// an empty Entries slice counts as a difference.
+func FuzzUnmarshalMatchesReference(f *testing.F) {
+	// The 650-byte golden record is left out: the fuzzer minimizes each
+	// new-coverage mutant byte by byte, which for inputs that long takes
+	// most of a 30 s run.
+	for _, r := range goldenRecords()[:2] {
+		b, err := Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+		f.Add(append(b, 0))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 0, 0xFF, 0xFF, 'a', 'b', 'c'})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 8, 0, 0xFF, 0xFF}) // 65,535 entries claimed, none present
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Unmarshal(data)
+		want, refErr := refUnmarshal(data)
+		if g, w := errClass(err), errClass(refErr); g != w || strings.HasPrefix(g, "untyped") {
+			t.Fatalf("Unmarshal(%x): %v, reference: %v", data, err, refErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Unmarshal(%x) = %#v, reference %#v", data, got, want)
 		}
 	})
 }

@@ -7,11 +7,9 @@
 package gateway
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/stumps"
@@ -181,6 +179,9 @@ func (c *Collector) StorageBytes() int {
 
 const recordHeaderBytes = 4 /* session */ + 2 /* ecu len */ + 2 /* windows */ + 2 /* entries */
 
+// entryBytes is the wire size of one fail entry.
+const entryBytes = 2 /* window */ + 8 /* got */ + 8 /* want */
+
 // wire format: all integers little-endian.
 //
 //	u32 session | u16 len(ecu) | ecu bytes | u16 windows | u16 nEntries
@@ -189,72 +190,69 @@ const recordHeaderBytes = 4 /* session */ + 2 /* ecu len */ + 2 /* windows */ + 
 // Marshal serializes a record for off-board transfer (failure
 // analysis export).
 func Marshal(r Record) ([]byte, error) {
+	return appendRecord(make([]byte, 0, recordHeaderBytes+len(r.ECU)+entryBytes*len(r.Fail.Entries)), &r)
+}
+
+// appendRecord appends the wire form of r to b. On error it returns nil.
+func appendRecord(b []byte, r *Record) ([]byte, error) {
 	if len(r.ECU) > 0xFFFF {
 		return nil, fmt.Errorf("gateway: ECU name too long")
 	}
 	if r.Fail.Windows > 0xFFFF || len(r.Fail.Entries) > 0xFFFF {
 		return nil, fmt.Errorf("gateway: fail data too large to marshal")
 	}
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, r.Session)
-	binary.Write(&buf, binary.LittleEndian, uint16(len(r.ECU)))
-	buf.WriteString(r.ECU)
-	binary.Write(&buf, binary.LittleEndian, uint16(r.Fail.Windows))
-	binary.Write(&buf, binary.LittleEndian, uint16(len(r.Fail.Entries)))
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, r.Session)
+	b = le.AppendUint16(b, uint16(len(r.ECU)))
+	b = append(b, r.ECU...)
+	b = le.AppendUint16(b, uint16(r.Fail.Windows))
+	b = le.AppendUint16(b, uint16(len(r.Fail.Entries)))
 	for _, e := range r.Fail.Entries {
 		if e.Window < 0 || e.Window > 0xFFFF {
 			return nil, fmt.Errorf("gateway: window index %d out of range", e.Window)
 		}
-		binary.Write(&buf, binary.LittleEndian, uint16(e.Window))
-		binary.Write(&buf, binary.LittleEndian, e.Got)
-		binary.Write(&buf, binary.LittleEndian, e.Want)
+		b = le.AppendUint16(b, uint16(e.Window))
+		b = le.AppendUint64(b, e.Got)
+		b = le.AppendUint64(b, e.Want)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// Unmarshal parses a record produced by Marshal.
+// Unmarshal's rejections, built once: turning down a hostile length
+// claim allocates nothing.
+var (
+	errShortHeader  = fmt.Errorf("%w: blob ends inside the header or ECU name", ErrTruncated)
+	errShortEntries = fmt.Errorf("%w: fewer entry bytes than declared", ErrTruncated)
+	errExtraBytes   = fmt.Errorf("%w: bytes after the last declared entry", ErrTrailingGarbage)
+)
+
+// Unmarshal parses a record produced by Marshal. Each declared length
+// is checked against the blob before anything behind it is read or
+// allocated.
 func Unmarshal(data []byte) (Record, error) {
-	buf := bytes.NewReader(data)
-	var r Record
-	var ecuLen, windows, nEntries uint16
-	if err := binary.Read(buf, binary.LittleEndian, &r.Session); err != nil {
-		return Record{}, fmt.Errorf("%w: session: %v", ErrTruncated, err)
+	le := binary.LittleEndian
+	if len(data) < 6 {
+		return Record{}, errShortHeader
 	}
-	if err := binary.Read(buf, binary.LittleEndian, &ecuLen); err != nil {
-		return Record{}, fmt.Errorf("%w: name length: %v", ErrTruncated, err)
+	head := recordHeaderBytes + int(le.Uint16(data[4:])) // everything before the entries
+	if len(data) < head {
+		return Record{}, errShortHeader
 	}
-	name := make([]byte, ecuLen)
-	if _, err := io.ReadFull(buf, name); err != nil {
-		// io.ReadFull never tolerates a short read the way buf.Read does:
-		// a blob ending inside the declared name is truncated, full stop,
-		// regardless of what (if anything) follows.
-		return Record{}, fmt.Errorf("%w: ECU name: %v", ErrTruncated, err)
+	n := int(le.Uint16(data[head-2:]))
+	switch need := head + entryBytes*n; {
+	case len(data) < need:
+		return Record{}, errShortEntries
+	case len(data) > need:
+		return Record{}, errExtraBytes
 	}
-	r.ECU = string(name)
-	if err := binary.Read(buf, binary.LittleEndian, &windows); err != nil {
-		return Record{}, fmt.Errorf("%w: windows: %v", ErrTruncated, err)
-	}
-	if err := binary.Read(buf, binary.LittleEndian, &nEntries); err != nil {
-		return Record{}, fmt.Errorf("%w: entry count: %v", ErrTruncated, err)
-	}
-	r.Fail.Windows = int(windows)
-	for i := 0; i < int(nEntries); i++ {
-		var w uint16
-		var e stumps.FailEntry
-		if err := binary.Read(buf, binary.LittleEndian, &w); err != nil {
-			return Record{}, fmt.Errorf("%w: entry %d: %v", ErrTruncated, i, err)
+	r := Record{ECU: string(data[6 : head-4]), Session: le.Uint32(data)}
+	r.Fail.Windows = int(le.Uint16(data[head-4:]))
+	if n > 0 {
+		r.Fail.Entries = make([]stumps.FailEntry, n)
+		for i := range r.Fail.Entries {
+			e := data[head+i*entryBytes:]
+			r.Fail.Entries[i] = stumps.FailEntry{Window: int(le.Uint16(e)), Got: le.Uint64(e[2:]), Want: le.Uint64(e[10:])}
 		}
-		if err := binary.Read(buf, binary.LittleEndian, &e.Got); err != nil {
-			return Record{}, fmt.Errorf("%w: entry %d: %v", ErrTruncated, i, err)
-		}
-		if err := binary.Read(buf, binary.LittleEndian, &e.Want); err != nil {
-			return Record{}, fmt.Errorf("%w: entry %d: %v", ErrTruncated, i, err)
-		}
-		e.Window = int(w)
-		r.Fail.Entries = append(r.Fail.Entries, e)
-	}
-	if buf.Len() != 0 {
-		return Record{}, fmt.Errorf("%w: %d trailing bytes", ErrTrailingGarbage, buf.Len())
 	}
 	return r, nil
 }
@@ -262,24 +260,19 @@ func Unmarshal(data []byte) (Record, error) {
 // Export serializes the whole fail memory, length-prefixing each
 // record.
 func (c *Collector) Export() ([]byte, error) {
-	var buf bytes.Buffer
-	var exportErr error
+	var buf []byte
+	var err error
 	c.forEach(func(r *Record) {
-		if exportErr != nil {
-			return
-		}
-		b, err := Marshal(*r)
 		if err != nil {
-			exportErr = err
 			return
 		}
-		binary.Write(&buf, binary.LittleEndian, uint32(len(b)))
-		buf.Write(b)
+		at := len(buf)
+		// Reserve the u32 length prefix, patch it once the record is in.
+		if buf, err = appendRecord(append(buf, 0, 0, 0, 0), r); err == nil {
+			binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+		}
 	})
-	if exportErr != nil {
-		return nil, exportErr
-	}
-	return buf.Bytes(), nil
+	return buf, err
 }
 
 // Import parses an Export blob into a fresh record list. It rejects
@@ -288,7 +281,11 @@ func (c *Collector) Export() ([]byte, error) {
 // (ErrDuplicateSequence).
 func Import(data []byte) ([]Record, error) {
 	var out []Record
-	seen := make(map[string]bool)
+	type seq struct {
+		ecu     string
+		session uint32
+	}
+	seen := make(map[seq]bool)
 	for off := 0; off < len(data); {
 		if off+4 > len(data) {
 			return nil, fmt.Errorf("%w: %d-byte partial length prefix at offset %d", ErrTrailingGarbage, len(data)-off, off)
@@ -302,7 +299,7 @@ func Import(data []byte) ([]Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		key := fmt.Sprintf("%s#%d", r.ECU, r.Session)
+		key := seq{r.ECU, r.Session}
 		if seen[key] {
 			return nil, fmt.Errorf("%w: ECU %q session %d", ErrDuplicateSequence, r.ECU, r.Session)
 		}

@@ -175,10 +175,10 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestUnmarshalTruncatedName pins the io.ReadFull fix: a blob whose
-// declared ECU name runs past the end of the data is a truncated
-// record, reported with ErrTruncated — regardless of how many bytes
-// happen to follow the short name.
+// TestUnmarshalTruncatedName: a blob whose declared ECU name runs past
+// the end of the data is a truncated record, reported with
+// ErrTruncated — regardless of how many bytes happen to follow the
+// short name.
 func TestUnmarshalTruncatedName(t *testing.T) {
 	good, err := Marshal(Record{ECU: "ecu-zero-seven", Session: 9, Fail: sampleFail(2)})
 	if err != nil {
@@ -270,5 +270,74 @@ func TestPerSessionFootprintMatchesPaper(t *testing.T) {
 	c.Ingest("ecu01", sampleFail(64))
 	if n := c.StorageBytes(); n > 638 {
 		t.Fatalf("session footprint %d B exceeds the paper's 638 B", n)
+	}
+}
+
+// TestUnmarshalOversizedEntryClaim: a 10-byte blob declaring 65,535
+// entries (1.2 MB of them) is rejected as truncated before the entry
+// slice is allocated. The rejection errors are prebuilt, so any
+// allocation at all means the slice came first.
+func TestUnmarshalOversizedEntryClaim(t *testing.T) {
+	blob := []byte{1, 0, 0, 0, 0, 0, 8, 0, 0xFF, 0xFF}
+	var err error
+	allocs := testing.AllocsPerRun(100, func() { _, err = Unmarshal(blob) })
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("got %v, want ErrTruncated", err)
+	}
+	if allocs > 0 {
+		t.Fatalf("rejecting the claim allocates %.1f times, want 0", allocs)
+	}
+}
+
+// benchRecords are a passing session and a failing one with 32
+// entries, the extremes of the fleet load generator's sessions.
+var benchRecords = []struct {
+	name string
+	rec  Record
+}{
+	{"entries=0", Record{ECU: "ecu01", Session: 7, Fail: stumps.FailData{Windows: 64}}},
+	{"entries=32", Record{ECU: "ecu01", Session: 7, Fail: sampleFail(32)}},
+}
+
+// Codec benchmark results land here so the compiler cannot drop the
+// measured calls.
+var (
+	benchBlob   []byte
+	benchRecord Record
+)
+
+// BenchmarkMarshal is the record codec's encode layer: the sender side
+// (NewSession), snapshot capture and Export.
+func BenchmarkMarshal(b *testing.B) {
+	for _, bc := range benchRecords {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if benchBlob, err = Marshal(bc.rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkUnmarshal is the record codec's decode layer: every
+// committed fleet session, WAL replay and snapshot restore.
+func BenchmarkUnmarshal(b *testing.B) {
+	for _, bc := range benchRecords {
+		blob, err := Marshal(bc.rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if benchRecord, err = Unmarshal(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
