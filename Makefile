@@ -124,8 +124,8 @@ bench-gate:
 
 # Island-model determinism through the CLI: for a fixed (seed, islands,
 # migration) tuple the merged front must be byte-identical at any
-# worker count, and -islands 1 must reproduce the classic
-# single-population run exactly.
+# worker count, -islands 1 must reproduce the classic
+# single-population run exactly, and -migrants 0 must be rejected.
 island-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -islands 4 -migrate-every 5 \
@@ -147,7 +147,11 @@ island-smoke:
 	$(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -islands 3 -migrate-every 4 \
 		-workers 4 -summary -csv $$tmp/ifull.csv >/dev/null || exit 1; \
 	cmp $$tmp/ifull.csv $$tmp/resumed.csv || { echo "island resume front differs" >&2; exit 1; }; \
-	echo "island-smoke: island campaign resumes byte-identically"
+	echo "island-smoke: island campaign resumes byte-identically"; \
+	if $(GO) run ./cmd/eedse -small -evals 2000 -pop 32 -islands 2 -migrants 0 -summary >/dev/null 2>&1; then \
+		echo "-migrants 0 accepted" >&2; exit 1; \
+	fi; \
+	echo "island-smoke: -migrants 0 rejected"
 
 # Process-sharding determinism through the CLI: the multi-process
 # orchestrator (-procs) must reproduce the in-process island front byte
@@ -205,7 +209,7 @@ fleet-smoke:
 	$$tmp/fleetd -get "http://$$addr/fleet/summary" > $$tmp/live.json || { kill $$pid; exit 1; }; \
 	grep -q '"vehicles"' $$tmp/live.json || { echo "summary endpoint malformed" >&2; kill $$pid; exit 1; }; \
 	$$tmp/fleetd -get "http://$$addr/fleet/failing" >/dev/null || { kill $$pid; exit 1; }; \
-	$$tmp/fleetd -get "http://$$addr/debug/vars" | grep -q '"fleet"' || { echo "expvar endpoint missing fleet" >&2; kill $$pid; exit 1; }; \
+	$$tmp/fleetd -get "http://$$addr/metrics" | grep -q '^fleet_' || { echo "/metrics missing fleet_ series" >&2; kill $$pid; exit 1; }; \
 	kill -TERM $$pid; wait $$pid || { echo "fleetd exited nonzero on SIGTERM" >&2; cat $$tmp/log >&2; exit 1; }; \
 	grep -q '"sessions_completed"' $$tmp/final.json || { echo "no final summary on drain" >&2; exit 1; }; \
 	echo "fleet-smoke: live endpoints served, SIGTERM drained with final summary"

@@ -264,7 +264,7 @@ func benchDSERunControl(b *testing.B, rc *core.RunControl) {
 	evals := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ex.RunContext(context.Background(), moea.Options{PopSize: 64, Generations: 10, Seed: int64(i + 1), Workers: w}, rc)
+		res, err := ex.RunContext(context.Background(), moea.Options{PopSize: 64, Generations: 10, Seed: int64(i + 1), Workers: w}, core.IslandConfig{}, rc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,16 +10,21 @@
 //	      [-checkpoint cp.json] [-checkpoint-every 10] [-resume cp.json]
 //	      [-progress] [-progress-addr 127.0.0.1:6060]
 //	      [-robust] [-error-rate 1e-5]
-//	      [-islands N] [-migrate-every 10] [-migrants 4]
+//	      [-islands 1] [-migrate-every 10] [-migrants 4]
 //
-// -islands N (N ≥ 1) switches NSGA-II to the island model: N
-// independent populations on derived seed streams, coupled by ring
-// migration every -migrate-every generations (-migrants archive
-// representatives per epoch). -islands 1 is the classic run under the
-// island driver; for a fixed (seed, islands, migration) tuple the
-// merged front is byte-identical at any -workers count. Checkpoints
-// written with -islands use the island checkpoint format and must be
+// NSGA-II always runs as an island campaign: -islands N (default 1,
+// the classic single-population run) independent populations on derived
+// seed streams, coupled by ring migration every -migrate-every
+// generations (-migrants ≥ 1 archive representatives per epoch; to run
+// without migration, set -migrate-every at or beyond the generation
+// budget). For a fixed (seed, islands, migration) tuple the merged front
+// is byte-identical at any -workers count. Every NSGA-II checkpoint is
+// an island checkpoint (format eedse-dse-island-checkpoint) and must be
 // resumed with the same -islands/-migrate-every/-migrants values.
+// Single-population checkpoints of earlier versions (format
+// eedse-dse-checkpoint, algorithm nsga2) are no longer resumable and
+// are refused with an error saying so. -optimizer random keeps the
+// eedse-dse-checkpoint format.
 //
 // -procs P shards the island campaign across P worker processes: each
 // migration epoch the orchestrator re-execs itself P times in worker
@@ -54,10 +59,13 @@
 // optimizer state (atomically) to a versioned file, SIGINT/SIGTERM stop
 // the run at the next generation boundary, write a final checkpoint,
 // and still emit the partial Pareto front, and -resume continues a
-// checkpointed run to a byte-identical front. -progress streams one
-// structured line per generation to stderr; -progress-addr additionally
-// serves the same counters as JSON over HTTP (expvar, /debug/vars),
-// Prometheus text on /metrics, and the pprof handlers on /debug/pprof.
+// checkpointed run to a byte-identical front. The checkpoint period is
+// -checkpoint-every generations, independent of -migrate-every; a
+// -procs campaign checkpoints after every migration epoch instead.
+// -progress streams one structured line per generation to stderr (per
+// merged epoch under -procs); -progress-addr additionally serves the
+// same counters as Prometheus text on /metrics, and the pprof handlers
+// on /debug/pprof.
 // -trace-out records per-stage spans (SAT decode, objective evaluation,
 // generation steps, migration epochs, shard spawns/merges) plus
 // periodic metric snapshots as JSONL — a flight recorder for post-hoc
@@ -136,11 +144,11 @@ func run() (err error) {
 		robust  = flag.Bool("robust", false, "add the degraded-mode transfer score as a 4th objective (CAN error model, default -error-rate 1e-5)")
 		errRate = flag.Float64("error-rate", 0, "CAN bit-error rate for the robustness objective; > 0 implies -robust")
 
-		islands      = flag.Int("islands", 0, "island-model NSGA-II: number of independent populations coupled by ring migration (0 = classic single-population run)")
-		migrateEvery = flag.Int("migrate-every", 10, "island migration period in generations (with -islands)")
-		migrants     = flag.Int("migrants", 4, "archive representatives exchanged per island per migration epoch (with -islands)")
+		islands      = flag.Int("islands", 1, "NSGA-II islands: independent populations coupled by ring migration (1 = classic single-population run)")
+		migrateEvery = flag.Int("migrate-every", 10, "island migration period in generations (at or beyond the generation budget = no migration)")
+		migrants     = flag.Int("migrants", 4, "archive representatives exchanged per island per migration epoch (at least 1)")
 
-		procs     = flag.Int("procs", 0, "shard the island campaign across this many worker processes, merging at migration-epoch boundaries (requires -islands; front byte-identical at any value)")
+		procs     = flag.Int("procs", 0, "shard the island campaign across this many worker processes, merging at migration-epoch boundaries (front byte-identical at any value)")
 		maxEpochs = flag.Int("max-epochs", 0, "with -procs: stop after this many merged migration epochs and keep the checkpoint (0 = run to completion)")
 
 		epochStep   = flag.Bool("epoch-step", false, "worker mode: advance the -island-shard island subset exactly one migration epoch from -resume (or bootstrap epoch 0), write -shard-out, exit")
@@ -148,10 +156,10 @@ func run() (err error) {
 		shardOut    = flag.String("shard-out", "", "worker mode: write the partial island shard checkpoint to this file (requires -epoch-step)")
 
 		checkpoint      = flag.String("checkpoint", "", "periodically write optimizer state to this file (atomically); SIGINT writes a final checkpoint before exiting")
-		checkpointEvery = flag.Int("checkpoint-every", 0, "checkpoint period: generations for nsga2 (default 10), evaluations for random (default 2560)")
+		checkpointEvery = flag.Int("checkpoint-every", 0, "checkpoint period: generations for nsga2 (default 10; not with -procs), evaluations for random (default 2560)")
 		resumePath      = flag.String("resume", "", "resume the run from this checkpoint file (same spec, decoder, seed and budget flags required)")
 		progress        = flag.Bool("progress", false, "stream one structured progress line per generation to stderr")
-		progressAddr    = flag.String("progress-addr", "", "serve live run telemetry on this address: Prometheus text on /metrics, expvar JSON on /debug/vars, pprof on /debug/pprof")
+		progressAddr    = flag.String("progress-addr", "", "serve live run telemetry on this address: Prometheus text on /metrics, pprof on /debug/pprof")
 		traceOut        = flag.String("trace-out", "", "stream per-stage trace events and periodic metric snapshots as JSONL to this file (flight recorder; inspect with cmd/obsdump)")
 	)
 	flag.Parse()
@@ -166,25 +174,23 @@ func run() (err error) {
 	} else if *robust {
 		*errRate = 1e-5
 	}
-	if *islands < 0 {
-		return fmt.Errorf("-islands must be non-negative, got %d", *islands)
+	if *islands < 1 {
+		return fmt.Errorf("-islands must be at least 1 (1 = classic single-population run), got %d", *islands)
 	}
-	if *islands > 0 && *optimizer != "nsga2" {
-		return fmt.Errorf("-islands requires -optimizer nsga2")
+	if *migrateEvery <= 0 {
+		return fmt.Errorf("-migrate-every must be positive, got %d", *migrateEvery)
 	}
-	if *islands > 0 {
-		if *migrateEvery <= 0 {
-			return fmt.Errorf("-migrate-every must be positive, got %d", *migrateEvery)
-		}
-		if *migrants < 0 {
-			return fmt.Errorf("-migrants must be non-negative, got %d", *migrants)
-		}
+	if *migrants < 1 {
+		return fmt.Errorf("-migrants must be at least 1, got %d; to disable migration, set -migrate-every at or beyond the generation budget (-evals / -pop)", *migrants)
+	}
+	if *optimizer != "nsga2" && (*islands > 1 || *procs > 0 || *epochStep) {
+		return fmt.Errorf("-islands, -procs and -epoch-step require -optimizer nsga2")
 	}
 	if *procs < 0 {
 		return fmt.Errorf("-procs must be non-negative, got %d", *procs)
 	}
-	if *procs > 0 && *islands == 0 {
-		return fmt.Errorf("-procs requires -islands")
+	if *procs > 0 && *checkpointEvery > 0 {
+		return fmt.Errorf("-checkpoint-every does not apply to -procs: the sharded campaign checkpoints after every migration epoch")
 	}
 	if *maxEpochs < 0 {
 		return fmt.Errorf("-max-epochs must be non-negative, got %d", *maxEpochs)
@@ -199,9 +205,6 @@ func run() (err error) {
 		return fmt.Errorf("-epoch-step and -island-shard must be used together")
 	}
 	if *epochStep {
-		if *islands == 0 {
-			return fmt.Errorf("-epoch-step requires -islands")
-		}
 		if *shardOut == "" {
 			return fmt.Errorf("-epoch-step requires -shard-out")
 		}
@@ -317,6 +320,7 @@ func run() (err error) {
 		}()
 	}
 
+	ic := core.IslandConfig{Islands: *islands, MigrateEvery: *migrateEvery, Migrants: *migrants}
 	if *epochStep {
 		// Worker mode: step one shard one epoch, write it, say nothing.
 		ex := core.NewExplorer(spec, dec)
@@ -325,7 +329,6 @@ func run() (err error) {
 			ex.Robust = objective.RobustConfig{ErrorRate: *errRate}
 		}
 		mopt := moea.Options{PopSize: *pop, Generations: gens, Seed: *seed, Workers: *workers, ArchiveEpsilon: eps}
-		ic := core.IslandConfig{Islands: *islands, MigrateEvery: *migrateEvery, Migrants: *migrants}
 		return runEpochStep(ctx, ex, mopt, ic, *islandShard, *resumePath, *shardOut)
 	}
 	name := specName(*small)
@@ -336,7 +339,7 @@ func run() (err error) {
 	if *robust {
 		robustNote = fmt.Sprintf(", robust@BER=%g", *errRate)
 	}
-	if *islands > 0 {
+	if *islands > 1 {
 		robustNote += fmt.Sprintf(", islands=%d/migrate=%d", *islands, *migrateEvery)
 	}
 	if *procs > 0 {
@@ -368,25 +371,23 @@ func run() (err error) {
 		CheckpointPath:  *checkpoint,
 		CheckpointEvery: *checkpointEvery,
 	}
-	if *resumePath != "" {
-		if *islands > 0 {
-			icp, err := moea.ReadIslandCheckpointFile(*resumePath)
-			if err != nil {
-				return err
-			}
-			rc.ResumeIslands = icp
-		} else {
-			cp, err := moea.ReadCheckpointFile(*resumePath)
-			if err != nil {
-				return err
-			}
-			if cp.Algorithm != *optimizer {
-				return fmt.Errorf("resume: checkpoint is for optimizer %q, run uses -optimizer %s", cp.Algorithm, *optimizer)
-			}
-			rc.Resume = cp
+	switch {
+	case *resumePath == "":
+	case *optimizer == "random":
+		cp, err := moea.ReadCheckpointFile(*resumePath)
+		if err != nil {
+			return err
+		}
+		if cp.Algorithm != *optimizer {
+			return fmt.Errorf("resume: checkpoint is for optimizer %q, run uses -optimizer %s", cp.Algorithm, *optimizer)
+		}
+		rc.ResumeRandom = cp
+	default:
+		if rc.Resume, err = moea.ReadIslandCheckpointFile(*resumePath); err != nil {
+			return err
 		}
 	}
-	tel := newTelemetry(*optimizer, reg)
+	tel := newTelemetry(reg)
 	if *progress {
 		rc.OnProgress = tel.observe(func(p core.Progress) { tel.printLine(os.Stderr, p) })
 	}
@@ -400,7 +401,7 @@ func run() (err error) {
 		if serr != nil {
 			return fmt.Errorf("progress endpoint: %w", serr)
 		}
-		fmt.Fprintf(os.Stderr, "eedse: progress endpoint on http://%s/debug/vars (Prometheus on /metrics)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "eedse: progress endpoint on http://%s/metrics\n", srv.Addr())
 		defer srv.Shutdown(2 * time.Second)
 	}
 
@@ -451,15 +452,10 @@ func run() (err error) {
 	switch *optimizer {
 	case "nsga2":
 		mopt := moea.Options{PopSize: *pop, Generations: gens, Seed: *seed, Workers: *workers, ArchiveEpsilon: eps}
-		switch {
-		case *procs > 0:
-			ic := core.IslandConfig{Islands: *islands, MigrateEvery: *migrateEvery, Migrants: *migrants}
+		if *procs > 0 {
 			res, runErr = runSharded(ctx, ex, mopt, ic, rc, *procs, *maxEpochs, workerArgs, *progress, tracer)
-		case *islands > 0:
-			ic := core.IslandConfig{Islands: *islands, MigrateEvery: *migrateEvery, Migrants: *migrants}
-			res, runErr = ex.RunIslandsContext(ctx, mopt, ic, rc)
-		default:
-			res, runErr = ex.RunContext(ctx, mopt, rc)
+		} else {
+			res, runErr = ex.RunContext(ctx, mopt, ic, rc)
 		}
 	case "random":
 		res, runErr = ex.RunRandomContext(ctx, *pop+*pop*gens, *seed, *workers, rc)
@@ -592,7 +588,7 @@ func runSharded(ctx context.Context, ex *core.Explorer, mopt moea.Options, ic co
 		MigrateEvery:   ic.MigrateEvery,
 		Migrants:       ic.Migrants,
 		CheckpointPath: rc.CheckpointPath,
-		Resume:         rc.ResumeIslands,
+		Resume:         rc.Resume,
 		MaxEpochs:      maxEpochs,
 		Stderr:         os.Stderr,
 		Obs:            tracer,
@@ -679,22 +675,16 @@ func specName(small bool) string {
 }
 
 // telemetry publishes the latest explorer progress sample as
-// structured stderr lines, through the process-wide expvar map "dse"
-// (served on -progress-addr as /debug/vars, same shape as before the
-// obs registry existed), and as pull-style registry series on
-// /metrics. Both HTTP views read the same mutex-guarded sample, so
-// they never disagree.
+// structured stderr lines and as pull-style registry series on
+// /metrics; every series reads the same mutex-guarded sample.
 type telemetry struct {
-	optimizer string
-
 	mu   sync.Mutex
 	last core.Progress
 	seen bool
 }
 
-func newTelemetry(optimizer string, reg *obs.Registry) *telemetry {
-	t := &telemetry{optimizer: optimizer}
-	obs.PublishExpvar("dse", func() any { return t.snapshot() })
+func newTelemetry(reg *obs.Registry) *telemetry {
+	t := &telemetry{}
 	if reg == nil {
 		return t
 	}
@@ -734,7 +724,7 @@ func newTelemetry(optimizer string, reg *obs.Registry) *telemetry {
 }
 
 // observe wraps a progress consumer so every sample also updates the
-// expvar snapshot. next may be nil.
+// sample the /metrics series read. next may be nil.
 func (t *telemetry) observe(next func(core.Progress)) func(core.Progress) {
 	return func(p core.Progress) {
 		t.mu.Lock()
@@ -745,29 +735,6 @@ func (t *telemetry) observe(next func(core.Progress)) func(core.Progress) {
 			next(p)
 		}
 	}
-}
-
-// snapshot returns the latest sample as a flat map for expvar.
-func (t *telemetry) snapshot() map[string]any {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m := map[string]any{"optimizer": t.optimizer, "running": t.seen}
-	if !t.seen {
-		return m
-	}
-	p := t.last
-	m["generation"] = p.Generation
-	m["generations"] = p.Generations
-	m["evaluations"] = p.Evaluations
-	m["evals_per_sec"] = p.EvalsPerSec
-	m["archive_size"] = p.ArchiveSize
-	m["hypervolume"] = p.Hypervolume
-	m["decode_failures"] = p.DecodeFailures
-	m["solver_conflicts"] = p.SolverConflicts
-	m["solver_propagations"] = p.SolverPropagations
-	m["solver_fallbacks"] = p.SolverFallbacks
-	m["elapsed_ms"] = p.Elapsed.Milliseconds()
-	return m
 }
 
 // printLine writes one structured key=value progress line.

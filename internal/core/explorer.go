@@ -213,97 +213,78 @@ type SolverStatsReporter interface {
 }
 
 // RunControl configures cancellation-adjacent run services:
-// checkpointing and telemetry. The zero value (or a nil pointer)
-// disables both.
+// checkpointing, resume and telemetry. The zero value (or a nil
+// pointer) disables all of them.
 type RunControl struct {
 	// CheckpointPath, when non-empty, periodically writes optimizer
 	// state to this file (atomically: tmp + rename) and once more when
-	// the context is cancelled. Resume a run with Resume.
+	// the context is cancelled. NSGA-II writes the island checkpoint
+	// format, random search its own checkpoint format.
 	CheckpointPath string
 	// CheckpointEvery is the checkpoint period: generations for NSGA-II
 	// (default 10), evaluations for random search (default 2560).
 	CheckpointEvery int
-	// Resume restores optimizer state from a previously written
-	// checkpoint; the run continues to the configured end and produces a
-	// byte-identical Pareto front to the uninterrupted run.
-	Resume *moea.Checkpoint
-	// ResumeIslands restores an island campaign from a previously
-	// written island checkpoint (RunIslandsContext only).
-	ResumeIslands *moea.IslandCheckpoint
+	// Resume restores an NSGA-II campaign (RunContext) from a previously
+	// written island checkpoint; the run continues to the configured end
+	// and produces a byte-identical Pareto front to the uninterrupted
+	// run.
+	Resume *moea.IslandCheckpoint
+	// ResumeRandom does the same for random search (RunRandomContext).
+	ResumeRandom *moea.Checkpoint
 	// OnProgress, when non-nil, receives a telemetry sample per
 	// generation/chunk on the optimizer goroutine.
 	OnProgress func(Progress)
 }
 
-// Run executes the exploration with the given MOEA options.
+// Run executes the classic single-population exploration with the
+// given MOEA options.
 func (e *Explorer) Run(opt moea.Options) (*Result, error) {
-	return e.RunContext(context.Background(), opt, nil)
+	return e.RunContext(context.Background(), opt, IslandConfig{}, nil)
 }
 
-// RunContext executes the exploration with cancellation, checkpointing
-// and telemetry. On context cancellation the partial Result collected
-// so far is returned together with ctx.Err(); the final checkpoint (if
-// configured) is written before returning, and no worker goroutines
-// outlive the call.
-func (e *Explorer) RunContext(ctx context.Context, opt moea.Options, rc *RunControl) (*Result, error) {
-	runCtx, cancel, start := e.beginRun(ctx)
-	defer cancel()
-	defer e.endRun()
-
-	mopt := opt
-	mopt.Obs = e.Obs
-	if rc != nil {
-		mopt.Resume = rc.Resume
-		if rc.CheckpointPath != "" {
-			path := rc.CheckpointPath
-			mopt.OnCheckpoint = func(cp *moea.Checkpoint) error { return cp.WriteFile(path) }
-			mopt.CheckpointEvery = rc.CheckpointEvery
-			if mopt.CheckpointEvery <= 0 {
-				mopt.CheckpointEvery = 10
-			}
-		}
-		if rc.OnProgress != nil {
-			cb := rc.OnProgress
-			mopt.OnProgress = func(mp moea.Progress) { cb(e.progressSample(mp)) }
-		}
-	}
-	mres, err := moea.Run(runCtx, e, mopt)
-	return e.finishRun(mres, err, start)
-}
-
-// IslandConfig selects the island-model NSGA-II driver: Islands
+// IslandConfig selects the NSGA-II campaign topology: Islands
 // independent populations on derived seed streams, coupled by ring
-// migration every MigrateEvery generations (see moea.RunIslands).
+// migration every MigrateEvery generations (see moea.RunIslands). The
+// zero value is one island: the classic single-population run.
 type IslandConfig struct {
 	Islands      int
 	MigrateEvery int
 	Migrants     int
 }
 
-// RunIslandsContext executes an island-model exploration. The
+func (ic IslandConfig) options() moea.IslandOptions {
+	return moea.IslandOptions{Islands: ic.Islands, MigrateEvery: ic.MigrateEvery, Migrants: ic.Migrants}
+}
+
+// RunContext executes the NSGA-II exploration as an island campaign,
+// with cancellation, checkpointing and telemetry from rc. The
 // (seed, islands, migration) tuple pins the campaign: the merged front
-// is byte-identical at any worker count, and a resumed campaign
-// (RunControl.ResumeIslands) matches the uninterrupted one.
-func (e *Explorer) RunIslandsContext(ctx context.Context, opt moea.Options, ic IslandConfig, rc *RunControl) (*Result, error) {
+// is byte-identical at any worker count, and a resumed campaign matches
+// the uninterrupted one. Checkpoints and resume go through rc only;
+// opt.Resume and opt.OnCheckpoint are not used. On context cancellation
+// the partial Result collected so far is returned together with
+// ctx.Err(); the final checkpoint (if configured) is written before
+// returning, and no worker goroutines outlive the call.
+func (e *Explorer) RunContext(ctx context.Context, opt moea.Options, ic IslandConfig, rc *RunControl) (*Result, error) {
 	runCtx, cancel, start := e.beginRun(ctx)
 	defer cancel()
 	defer e.endRun()
 
 	opt.Obs = e.Obs
-	iopt := moea.IslandOptions{
-		Islands:      ic.Islands,
-		MigrateEvery: ic.MigrateEvery,
-		Migrants:     ic.Migrants,
-	}
+	iopt := ic.options()
 	if rc != nil {
-		iopt.Resume = rc.ResumeIslands
+		iopt.Resume = rc.Resume
 		if rc.CheckpointPath != "" {
 			path := rc.CheckpointPath
 			iopt.OnCheckpoint = func(cp *moea.IslandCheckpoint) error { return cp.WriteFile(path) }
+			opt.CheckpointEvery = rc.CheckpointEvery
+			if opt.CheckpointEvery <= 0 {
+				opt.CheckpointEvery = 10
+			}
 		}
 		if rc.OnProgress != nil {
 			cb := rc.OnProgress
-			iopt.OnProgress = func(mp moea.Progress) { cb(e.progressSample(mp)) }
+			opt.OnProgress = func(mp moea.Progress) { cb(e.progressSample(mp)) }
 		}
 	}
 	mres, err := moea.RunIslands(runCtx, e, opt, iopt)
@@ -322,8 +303,7 @@ func (e *Explorer) EpochStep(ctx context.Context, opt moea.Options, ic IslandCon
 	defer e.endRun()
 
 	opt.Obs = e.Obs
-	iopt := moea.IslandOptions{Islands: ic.Islands, MigrateEvery: ic.MigrateEvery, Migrants: ic.Migrants}
-	sh, err := moea.EpochStep(runCtx, e, opt, iopt, full, first, count)
+	sh, err := moea.EpochStep(runCtx, e, opt, ic.options(), full, first, count)
 	if verr := e.takeRunError(); verr != nil {
 		return nil, verr
 	}
@@ -341,8 +321,7 @@ func (e *Explorer) CollectIslands(ctx context.Context, opt moea.Options, ic Isla
 	defer cancel()
 	defer e.endRun()
 
-	iopt := moea.IslandOptions{Islands: ic.Islands, MigrateEvery: ic.MigrateEvery, Migrants: ic.Migrants}
-	mres, err := moea.MergeIslandCheckpoint(runCtx, e, opt, iopt, cp)
+	mres, err := moea.MergeIslandCheckpoint(runCtx, e, opt, ic.options(), cp)
 	return e.finishRun(mres, err, start)
 }
 
@@ -360,7 +339,7 @@ func (e *Explorer) RunRandomContext(ctx context.Context, evals int, seed int64, 
 
 	ropt := moea.RandomOptions{Evals: evals, Seed: seed, Workers: workers}
 	if rc != nil {
-		ropt.Resume = rc.Resume
+		ropt.Resume = rc.ResumeRandom
 		if rc.CheckpointPath != "" {
 			path := rc.CheckpointPath
 			ropt.OnCheckpoint = func(cp *moea.Checkpoint) error { return cp.WriteFile(path) }

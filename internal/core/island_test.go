@@ -43,7 +43,7 @@ func TestExplorerIslandsDeterministicAcrossWorkers(t *testing.T) {
 	ic := IslandConfig{Islands: 3, MigrateEvery: 3, Migrants: 2}
 	var ref *Result
 	for _, w := range []int{1, 2, 4} {
-		res, err := ex.RunIslandsContext(context.Background(),
+		res, err := ex.RunContext(context.Background(),
 			moea.Options{PopSize: 12, Generations: 9, Seed: 13, Workers: w}, ic, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -59,8 +59,8 @@ func TestExplorerIslandsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestExplorerIslandsSingleMatchesPlain: -islands 1 must be the classic
-// exploration under another driver — same seed stream, same schedule.
+// TestExplorerIslandsSingleMatchesPlain: an explicit one-island
+// campaign is the classic exploration — same seed stream, same schedule.
 func TestExplorerIslandsSingleMatchesPlain(t *testing.T) {
 	spec := smallSpec(t)
 	dec, err := NewGreedyDecoder(spec)
@@ -73,7 +73,7 @@ func TestExplorerIslandsSingleMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isl, err := ex.RunIslandsContext(context.Background(), opt, IslandConfig{Islands: 1}, nil)
+	isl, err := ex.RunContext(context.Background(), opt, IslandConfig{Islands: 1, MigrateEvery: 3, Migrants: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestExplorerIslandsCheckpointResume(t *testing.T) {
 	opt := moea.Options{PopSize: 16, Generations: 12, Seed: 5, Workers: 2}
 	ic := IslandConfig{Islands: 2, MigrateEvery: 4, Migrants: 2}
 
-	full, err := ex.RunIslandsContext(context.Background(), opt, ic, nil)
+	full, err := ex.RunContext(context.Background(), opt, ic, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestExplorerIslandsCheckpointResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	stop := &stopAfterDecoder{Decoder: dec, cancelAt: 16 * 6, cancel: cancel}
 	exCancel := NewExplorer(spec, stop)
-	_, err = exCancel.RunIslandsContext(ctx, opt, ic, &RunControl{CheckpointPath: path})
+	_, err = exCancel.RunContext(ctx, opt, ic, &RunControl{CheckpointPath: path})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -113,7 +113,7 @@ func TestExplorerIslandsCheckpointResume(t *testing.T) {
 	}
 	resumeOpt := opt
 	resumeOpt.Workers = 4
-	res, err := ex.RunIslandsContext(context.Background(), resumeOpt, ic, &RunControl{ResumeIslands: cp})
+	res, err := ex.RunContext(context.Background(), resumeOpt, ic, &RunControl{Resume: cp})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestExplorerIslandsObsNonIntrusive(t *testing.T) {
 			t.Fatal(err)
 		}
 		plain := NewExplorer(spec, dec)
-		res, err := plain.RunIslandsContext(context.Background(), o, ic, nil)
+		res, err := plain.RunContext(context.Background(), o, ic, nil)
 		if err != nil {
 			t.Fatalf("workers=%d plain: %v", w, err)
 		}
@@ -106,7 +106,7 @@ func TestExplorerIslandsObsNonIntrusive(t *testing.T) {
 		tracer := obs.NewTracer(reg, obs.TracerConfig{Record: true})
 		traced := NewExplorer(spec, dec2)
 		traced.Obs = tracer
-		tres, err := traced.RunIslandsContext(context.Background(), o, ic, nil)
+		tres, err := traced.RunContext(context.Background(), o, ic, nil)
 		if err != nil {
 			t.Fatalf("workers=%d traced: %v", w, err)
 		}

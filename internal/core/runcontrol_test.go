@@ -158,18 +158,18 @@ func TestExplorerCheckpointResume(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "cp.json")
-	if _, err := NewExplorer(spec, gd).RunContext(context.Background(), opt,
+	if _, err := NewExplorer(spec, gd).RunContext(context.Background(), opt, IslandConfig{},
 		&RunControl{CheckpointPath: path, CheckpointEvery: 2}); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := moea.ReadCheckpointFile(path)
+	cp, err := moea.ReadIslandCheckpointFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.NextGeneration != 4 {
-		t.Fatalf("last periodic checkpoint at generation %d, want 4", cp.NextGeneration)
+	if len(cp.States) != 1 || cp.States[0].NextGeneration != 4 {
+		t.Fatalf("last periodic checkpoint: %d islands, want 1 at generation 4", len(cp.States))
 	}
-	got, err := NewExplorer(spec, gd).RunContext(context.Background(), opt, &RunControl{Resume: cp})
+	got, err := NewExplorer(spec, gd).RunContext(context.Background(), opt, IslandConfig{}, &RunControl{Resume: cp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestExplorerRandomCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewExplorer(spec, gd).RunRandomContext(context.Background(), evals, seed, 2, &RunControl{Resume: cp})
+	got, err := NewExplorer(spec, gd).RunRandomContext(context.Background(), evals, seed, 2, &RunControl{ResumeRandom: cp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,19 +232,19 @@ func TestExplorerCancellation(t *testing.T) {
 		},
 	}
 	res, err := NewExplorer(spec, gd).RunContext(ctx,
-		moea.Options{PopSize: 16, Generations: 1000, Seed: 1, Workers: 4}, rc)
+		moea.Options{PopSize: 16, Generations: 1000, Seed: 1, Workers: 4}, IslandConfig{}, rc)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if res == nil || len(res.Solutions) == 0 {
 		t.Fatal("no partial front on cancellation")
 	}
-	cp, err := moea.ReadCheckpointFile(path)
+	cp, err := moea.ReadIslandCheckpointFile(path)
 	if err != nil {
 		t.Fatalf("no final checkpoint on cancellation: %v", err)
 	}
-	if cp.NextGeneration != 2 {
-		t.Fatalf("final checkpoint resumes at generation %d, want 2", cp.NextGeneration)
+	if next := cp.States[0].NextGeneration; next != 2 {
+		t.Fatalf("final checkpoint resumes at generation %d, want 2", next)
 	}
 }
 
@@ -259,7 +259,7 @@ func TestProgressTelemetrySample(t *testing.T) {
 	ex := NewExplorer(spec, sd)
 	var samples []Progress
 	rc := &RunControl{OnProgress: func(p Progress) { samples = append(samples, p) }}
-	if _, err := ex.RunContext(context.Background(), moea.Options{PopSize: 8, Generations: 3, Seed: 2}, rc); err != nil {
+	if _, err := ex.RunContext(context.Background(), moea.Options{PopSize: 8, Generations: 3, Seed: 2}, IslandConfig{}, rc); err != nil {
 		t.Fatal(err)
 	}
 	if len(samples) != 3 {

@@ -219,8 +219,8 @@ func TestCancellationPartialResult(t *testing.T) {
 	var final *Checkpoint
 	opt := Options{
 		PopSize: 32, Generations: 1000, Seed: 2, Workers: 4,
-		OnGeneration: func(gen int, _ []*Individual) {
-			if gen == 3 {
+		OnProgress: func(pr Progress) {
+			if pr.Generation == 3 {
 				cancel()
 			}
 		},

@@ -129,9 +129,9 @@ func ShardRange(islands, procs, k int) (first, count int) {
 // campaign-wide checkpoint to step from; nil bootstraps epoch 0 (the
 // subset's islands sample their initial populations from the derived
 // seed streams, exactly as RunIslands would). The epoch boundary is
-// computed from the full checkpoint's least-advanced island — the same
-// schedule the in-process driver follows — so shards produced by
-// different processes agree on it without coordination.
+// computed from the full checkpoint's least-advanced island — the
+// migration schedule the in-process driver follows — so shards
+// produced by different processes agree on it without coordination.
 //
 // Cancellation is honored at generation boundaries and returns
 // ctx.Err() without emitting a shard: the orchestrator's recovery point
@@ -166,7 +166,10 @@ func EpochStep(ctx context.Context, p Problem, opt Options, iopt IslandOptions, 
 	if minGen >= opt.Generations {
 		return nil, fmt.Errorf("moea: epoch step: campaign already complete (generation %d of %d)", minGen, opt.Generations)
 	}
-	boundary := epochBoundary(minGen, iopt.MigrateEvery, opt.Generations)
+	// The epoch ends at the smallest MigrateEvery multiple beyond the
+	// least-advanced island, capped at the budget: the next generation at
+	// which RunIslands migrates.
+	boundary := min((minGen/iopt.MigrateEvery+1)*iopt.MigrateEvery, opt.Generations)
 
 	pool := newEvalPool(p, opt.Workers)
 	defer pool.close()

@@ -82,7 +82,7 @@ func stepEpochSharded(t *testing.T, p Problem, opt Options, iopt IslandOptions, 
 // evaluation count exactly.
 func TestShardedCampaignMatchesInProcess(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := Options{PopSize: 16, Generations: 20, Seed: 5, Workers: 2}
+	opt := Options{PopSize: 16, Generations: 20, Seed: 5, Workers: 2, CheckpointEvery: 5}
 	iopt := IslandOptions{Islands: 3, MigrateEvery: 5, Migrants: 3}
 
 	full, err := RunIslands(context.Background(), p, opt, iopt)
@@ -154,7 +154,7 @@ func TestShardedCampaignMatchesInProcess(t *testing.T) {
 // can be finished sharded (and the front stays identical).
 func TestShardedResumeFromInProcessCheckpoint(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := Options{PopSize: 16, Generations: 20, Seed: 11, Workers: 2}
+	opt := Options{PopSize: 16, Generations: 20, Seed: 11, Workers: 2, CheckpointEvery: 3}
 	iopt := IslandOptions{Islands: 3, MigrateEvery: 5, Migrants: 2}
 
 	full, err := RunIslands(context.Background(), p, opt, iopt)
@@ -296,7 +296,7 @@ func TestMergeShardsErrors(t *testing.T) {
 // files fail loudly with a diagnostic naming the problem.
 func TestReadIslandCheckpointFileErrors(t *testing.T) {
 	p := zdt1{n: 10}
-	opt := Options{PopSize: 8, Generations: 8, Seed: 2}
+	opt := Options{PopSize: 8, Generations: 8, Seed: 2, CheckpointEvery: 4}
 	iopt := IslandOptions{Islands: 2, MigrateEvery: 4, Migrants: 1}
 	var cp *IslandCheckpoint
 	capture := iopt

@@ -164,14 +164,16 @@ func TestRunRejectsEmptyGenotype(t *testing.T) {
 	}
 }
 
+// TestOnGenerationCallback: the per-generation callback, OnProgress,
+// fires once per generation, in order, with a non-empty archive.
 func TestOnGenerationCallback(t *testing.T) {
 	calls := 0
 	_, err := Run(context.Background(), zdt1{n: 5}, Options{PopSize: 10, Generations: 7, Seed: 1,
-		OnGeneration: func(gen int, archive []*Individual) {
-			if gen != calls {
-				t.Fatalf("generation %d out of order", gen)
+		OnProgress: func(pr Progress) {
+			if pr.Generation != calls {
+				t.Fatalf("generation %d out of order", pr.Generation)
 			}
-			if len(archive) == 0 {
+			if len(pr.Archive) == 0 {
 				t.Fatal("empty archive in callback")
 			}
 			calls++

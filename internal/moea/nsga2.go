@@ -1,12 +1,10 @@
 package moea
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -48,23 +46,24 @@ type Options struct {
 	// archive the way practical DSE tools do; the paper reports 176
 	// Pareto implementations from 100,000 evaluations.
 	ArchiveEpsilon []float64
-	// OnGeneration, when non-nil, is called after every generation with
-	// the generation index and the current archive.
-	OnGeneration func(gen int, archive []*Individual)
 	// OnProgress, when non-nil, receives a telemetry sample after every
-	// generation. It runs on the optimizer goroutine; keep it cheap.
+	// generation, with the archive merged over all islands. It runs on
+	// the optimizer goroutine; keep it cheap.
 	OnProgress func(Progress)
-	// Resume, when non-nil, restores the optimizer state from a
+	// Resume, when non-nil, makes Run restore the optimizer state from a
 	// checkpoint instead of sampling a fresh initial population. The
 	// checkpoint must match the problem and options (algorithm, genotype
 	// length, population size, generation count, seed, ε-archive).
+	// RunIslands resumes from IslandOptions.Resume instead.
 	Resume *Checkpoint
-	// OnCheckpoint, when non-nil, receives a state snapshot every
+	// OnCheckpoint, when non-nil, makes Run emit a state snapshot every
 	// CheckpointEvery generations and once more when the context is
 	// cancelled. A non-nil return aborts the run with that error.
+	// RunIslands reports through IslandOptions.OnCheckpoint instead.
 	OnCheckpoint func(*Checkpoint) error
-	// CheckpointEvery is the generation period of OnCheckpoint calls
-	// (0 = only on cancellation).
+	// CheckpointEvery is the generation period of checkpoint callbacks
+	// (0 = only on cancellation). No checkpoint is taken at the final
+	// generation.
 	CheckpointEvery int
 	// Obs, when non-nil, times each generation step (and, via the
 	// problem, finer stages) on the observability tracer. Purely
@@ -107,9 +106,8 @@ type Result struct {
 
 // nsga2 is the stepping form of the optimizer: construction samples (or
 // resumes) the initial population, step() advances one generation, and
-// snapshot() captures resumable state. Run drives one instance to
-// completion; RunIslands drives several in migration epochs over a
-// shared evaluation pool.
+// snapshot() captures resumable state. RunIslands steps one instance
+// per island over a shared evaluation pool; Run is its one-island case.
 type nsga2 struct {
 	p      Problem
 	opt    Options
@@ -256,17 +254,6 @@ func (s *nsga2) snapshot() *Checkpoint {
 	}
 }
 
-// result packages the current state as a Result.
-func (s *nsga2) result() *Result {
-	return &Result{Archive: s.archive, FinalPopulation: s.pop, Evaluations: s.evals}
-}
-
-// inject replaces the worst individuals of the population with copies
-// of the migrants (island-model migration).
-func (s *nsga2) inject(migrants []*Individual) {
-	injectMigrants(s.pop, migrants)
-}
-
 // injectMigrants replaces the worst individuals of pop with copies of
 // the migrants (island-model migration). "Worst" is the inverse of the
 // crowded-comparison order — highest rank first, lowest crowding first,
@@ -306,63 +293,6 @@ func injectMigrants(pop, migrants []*Individual) {
 			Payload:    m.Payload,
 		}
 	}
-}
-
-// Run executes NSGA-II on the problem. Cancellation of ctx is honored
-// at generation boundaries: the run stops before starting the next
-// generation, emits a final checkpoint through Options.OnCheckpoint (if
-// set), and returns the partial Result together with ctx.Err(). No
-// goroutines outlive the call — the evaluation worker pool is created
-// once for the run and released before returning.
-func Run(ctx context.Context, p Problem, opt Options) (*Result, error) {
-	genLen := p.GenotypeLen()
-	if genLen <= 0 {
-		return nil, errEmptyGenotype
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opt = opt.withDefaults(genLen)
-	pool := newEvalPool(p, opt.Workers)
-	defer pool.close()
-	s, err := newNSGA2(p, opt, pool)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	finish := func(err error) (*Result, error) { return s.result(), err }
-
-	for s.gen < opt.Generations {
-		if ctx.Err() != nil {
-			if opt.OnCheckpoint != nil {
-				if err := opt.OnCheckpoint(s.snapshot()); err != nil {
-					return finish(err)
-				}
-			}
-			return finish(ctx.Err())
-		}
-		s.step()
-		if opt.OnGeneration != nil {
-			opt.OnGeneration(s.gen-1, s.archive)
-		}
-		if opt.OnProgress != nil {
-			opt.OnProgress(Progress{
-				Generation:     s.gen - 1,
-				Generations:    opt.Generations,
-				Evaluations:    s.evals,
-				RunEvaluations: s.runEvals,
-				Archive:        s.archive,
-				Elapsed:        time.Since(start),
-			})
-		}
-		if opt.OnCheckpoint != nil && opt.CheckpointEvery > 0 &&
-			s.gen%opt.CheckpointEvery == 0 && s.gen < opt.Generations {
-			if err := opt.OnCheckpoint(s.snapshot()); err != nil {
-				return finish(err)
-			}
-		}
-	}
-	return finish(nil)
 }
 
 // tournament returns the better of two random individuals by
